@@ -9,6 +9,7 @@ Good residues enjoy the length and Dedekind-sum bounds checked by
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +70,8 @@ class BadSet:
         return tuple(a for a in range(1, self.q) if a not in bad)
 
     def __contains__(self, a: int) -> bool:
-        return a in set(self.members)
+        i = bisect.bisect_left(self.members, a)
+        return i < len(self.members) and self.members[i] == a
 
 
 def bad_set(q: int, C) -> BadSet:

@@ -27,7 +27,11 @@ from .geometry import (
     log_chern_pair,
 )
 from .numtheory import DomainError, dedekind_data, is_prime, primes_between
-from .partitions import NotFound, PartitionProblem, sample_with_stats, search_assignment
+from .partitions import NotFound
+# cli never calls these itself (`pipeline.find_assignment` does), but the
+# capture and tracing hooks in perfbench/ look them up on this module with
+# getattr, so they stay importable from it.
+from .partitions import sample_with_stats, search_assignment  # noqa: F401
 from .rootcover import BranchAssignment, InvalidAssignmentError, chern_of_cover
 from .serialize import canonical_json, jsonable
 
@@ -124,24 +128,11 @@ def _cmd_arrangement(args) -> int:
     return EXIT_OK
 
 
-def _search(args):
-    """Rejection sampling first, deterministic backtracking as a fallback."""
-    params = _params_from_args(args)
-    config = build_resolution(params)
-    problem = PartitionProblem(config, args.q)
-    result, tries = sample_with_stats(problem, seed=args.seed, max_tries=args.max_tries)
-    method = "rejection"
-    if isinstance(result, NotFound):
-        fallback = search_assignment(problem, seed=args.seed)
-        if not isinstance(fallback, NotFound):
-            result, method = fallback, "backtracking"
-    return config, result, tries, method
-
-
 def _cmd_search(args) -> int:
-    config, result, tries, method = _search(args)
+    config = build_resolution(_params_from_args(args))
+    result, tries, method = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
     if isinstance(result, NotFound):
-        _emit({"status": "not_found", "tries": result.tries, "zero_hits": result.zero_hits,
+        _emit({"status": "not_found", "tries": tries, "zero_hits": result.zero_hits,
                "fewest_bad": result.fewest_bad,
                "worst_node": list(result.worst_node) if result.worst_node else None})
         return EXIT_NOT_FOUND
@@ -159,10 +150,7 @@ def _cmd_cover(args) -> int:
         assign = BranchAssignment.from_base(config, args.q, base)
         tries = 0
     else:
-        problem = PartitionProblem(config, args.q)
-        result, tries = sample_with_stats(problem, seed=args.seed, max_tries=args.max_tries)
-        if isinstance(result, NotFound):
-            result = search_assignment(problem, seed=args.seed)
+        result, tries, _ = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
         if isinstance(result, NotFound):
             _emit({"status": "not_found", "tries": result.tries})
             return EXIT_NOT_FOUND
@@ -238,10 +226,7 @@ def _sweep_row(task) -> dict:
     params_tuple, q, seed, max_tries = task
     params = ArrangementParams(*params_tuple)
     config = build_resolution(params)
-    problem = PartitionProblem(config, q)
-    result, tries = sample_with_stats(problem, seed=seed, max_tries=max_tries)
-    if isinstance(result, NotFound):
-        result = search_assignment(problem, seed=seed)
+    result, tries, _ = pipeline.find_assignment(config, q, seed, max_tries)
     _, _, limit = log_chern_closed(params)
     if isinstance(result, NotFound):
         return {"q": q, "seed": seed, "status": "not_found", "tries": tries,
@@ -381,6 +366,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
     injected: list[str] = []

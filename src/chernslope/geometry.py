@@ -145,9 +145,6 @@ class ResolvedConfiguration:
     def component(self, cid: str) -> Component:
         return self._by_id[cid]
 
-    def adjacency_count(self, cid: str) -> int:
-        return sum(count for a, b, count in self.nodes if cid in (a, b))
-
 
 def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
     """Explicit component/node census of the minimal log resolution.

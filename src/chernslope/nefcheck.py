@@ -9,6 +9,7 @@ incidences; the two must agree exactly.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,6 +70,10 @@ def config_entries(config: ResolvedConfiguration, q: int) -> dict[str, Fraction]
     for tang in config.tangencies:
         for k, gid in enumerate(tang.chain, start=1):
             chain_pos[gid] = k
+    incidences: Counter[str] = Counter()
+    for a, b, count in config.nodes:
+        incidences[a] += count
+        incidences[b] += count
 
     def label(comp) -> str:
         if comp.kind == "section" and comp.cid.startswith("S"):
@@ -90,7 +95,7 @@ def config_entries(config: ResolvedConfiguration, q: int) -> dict[str, Fraction]
     for comp in config.components:
         val = Fraction(
             q * (2 * comp.genus - 2 - comp.self_int)
-            + (q - 1) * (comp.self_int + config.adjacency_count(comp.cid)),
+            + (q - 1) * (comp.self_int + incidences[comp.cid]),
             q,
         )
         key = label(comp)

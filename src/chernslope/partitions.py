@@ -3,22 +3,34 @@
 The multiplicity data of a degree-q cover is a solution of a weighted
 composition problem (families A0/A: e*p^r per section unknown plus 1 per
 fiber unknown summing to q; APRIME: a length-l partition of q for the
-paired sections and a length-delta one for the fibers). `sample_assignment`
-draws uniform compositions of the residual after assigning 1 everywhere,
-then keeps a draw whose node residues all avoid the bad set -- except the
-structurally exempt full-turn nodes of APRIME's paired tangencies.
+paired sections and a length-delta one for the fibers). `residue_rule`
+says which residues each node may carry: the good set, except at the
+structurally exempt full-turn nodes of APRIME's paired tangencies, which
+must carry q - 1. `sample_with_stats` draws uniform compositions of the
+residual after assigning 1 everywhere and keeps a draw that obeys the rule;
+`search_assignment` is the deterministic backtracking search for the cases
+where such draws are too rare. `pipeline.find_assignment` runs the two in
+that order.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .badset import good_residues
 from .geometry import Family, ResolvedConfiguration
 from .numtheory import DomainError, is_prime
 from .rootcover import BranchAssignment, InvalidAssignmentError
+
+
+def min_feasible_q(params) -> int:
+    """Smallest q leaving every unknown a positive multiplicity."""
+    if params.family is Family.APRIME:
+        return max(params.l, params.delta) + 1
+    weight = params.e * params.chain_length
+    return weight * (params.d + params.u) + params.delta + params.w + 1
 
 
 @dataclass(frozen=True)
@@ -29,13 +41,7 @@ class PartitionProblem:
     def __post_init__(self) -> None:
         if not is_prime(self.q) or self.q == self.config.params.p:
             raise DomainError(f"q must be a prime different from p, got {self.q}")
-        params = self.config.params
-        if params.family is Family.APRIME:
-            feasible = self.q > max(params.l, params.delta)
-        else:
-            weight = params.e * params.chain_length
-            feasible = self.q > weight * (params.d + params.u) + params.delta + params.w
-        if not feasible:
+        if self.q < min_feasible_q(self.config.params):
             raise DomainError(f"q = {self.q} is infeasible for these parameters")
 
     @property
@@ -115,6 +121,17 @@ def exempt_nodes(config: ResolvedConfiguration) -> frozenset[tuple[str, str, int
     return frozenset(out)
 
 
+def residue_rule(
+    config: ResolvedConfiguration, q: int
+) -> Callable[[tuple[str, str, int]], frozenset[int]]:
+    """The residues each node may carry at q, as a function of the node:
+    only the full turn q - 1 at an exempt node, the good set elsewhere."""
+    good = good_residues(q, 1)
+    exempt = exempt_nodes(config)
+    full_turn = frozenset((q - 1,))
+    return lambda node: full_turn if node in exempt else good
+
+
 @dataclass(frozen=True)
 class AsymptoticReport:
     ok: bool
@@ -122,27 +139,16 @@ class AsymptoticReport:
     exempt_count: int
 
 
-def verify_asymptotic(
-    config: ResolvedConfiguration, assign: BranchAssignment, C=1
-) -> AsymptoticReport:
-    """Check every non-exempt node residue lands in the good set, and every
-    exempt node carries the full-turn residue q - 1."""
-    good = good_residues(assign.q, C)
-    exempt = exempt_nodes(config)
-    bad: list[tuple[tuple[str, str, int], int]] = []
-    n_exempt = 0
-    for node, a in assign.residues(config):
-        if node in exempt:
-            n_exempt += node[2]
-            if a != assign.q - 1:
-                bad.append((node, a))
-        elif a not in good:
-            bad.append((node, a))
-    return AsymptoticReport(ok=not bad, bad_nodes=tuple(bad), exempt_count=n_exempt)
+def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -> AsymptoticReport:
+    """Check every node residue against `residue_rule`."""
+    allowed = residue_rule(config, assign.q)
+    bad = tuple((node, a) for node, a in assign.residues(config) if a not in allowed(node))
+    exempt_count = sum(node[2] for node in exempt_nodes(config))
+    return AsymptoticReport(ok=not bad, bad_nodes=bad, exempt_count=exempt_count)
 
 
 def sample_with_stats(
-    problem: PartitionProblem, seed: int, max_tries: int = 200, C=1
+    problem: PartitionProblem, seed: int, max_tries: int = 200
 ) -> tuple[BranchAssignment | NotFound, int]:
     """Seeded retry loop; deterministic per-try generators keyed off
     (seed, try index) so any scheduling of tries reproduces the result.
@@ -150,8 +156,7 @@ def sample_with_stats(
     zero_hits = 0
     fewest_bad: int | None = None
     worst_node = None
-    good = good_residues(problem.q, C)
-    exempt = exempt_nodes(problem.config)
+    allowed = residue_rule(problem.config, problem.q)
     for t in range(max_tries):
         rng = random.Random(f"{seed}:{t}")
         base = _draw_base(problem, rng)
@@ -160,13 +165,7 @@ def sample_with_stats(
         except InvalidAssignmentError:
             zero_hits += 1
             continue
-        bad = []
-        for node, a in assign.residues(problem.config):
-            if node in exempt:
-                if a != problem.q - 1:
-                    bad.append(node)
-            elif a not in good:
-                bad.append(node)
+        bad = [node for node, a in assign.residues(problem.config) if a not in allowed(node)]
         if not bad:
             return assign, t + 1
         if fewest_bad is None or len(bad) < fewest_bad:
@@ -177,9 +176,9 @@ def sample_with_stats(
 
 
 def sample_assignment(
-    problem: PartitionProblem, seed: int, max_tries: int = 200, C=1
+    problem: PartitionProblem, seed: int, max_tries: int = 200
 ) -> BranchAssignment | NotFound:
-    return sample_with_stats(problem, seed, max_tries, C)[0]
+    return sample_with_stats(problem, seed, max_tries)[0]
 
 
 def _section_steps(problem: PartitionProblem):
@@ -211,11 +210,10 @@ def search_assignment(
     problem: PartitionProblem,
     seed: int,
     node_budget: int = 200_000,
-    C=1,
 ) -> BranchAssignment | NotFound:
     """Deterministic constraint-guided search for a good assignment.
 
-    Rejection sampling (`sample_assignment`) needs every node residue of an
+    Rejection sampling (`sample_with_stats`) needs every node residue of an
     independent draw to land in the good set at once, which becomes
     hopeless when the number of nodes is large relative to q (the bad set
     covers ~44% of residues at q = 101). This search exploits the
@@ -234,8 +232,7 @@ def search_assignment(
     cfg = problem.config
     params = cfg.params
     q = problem.q
-    good = good_residues(q, C)
-    exempt = exempt_nodes(cfg)
+    allowed = residue_rule(cfg, q)
     steps = _section_steps(problem)
     n_steps = len(steps)
     weight = params.e * params.chain_length
@@ -246,7 +243,7 @@ def search_assignment(
             pos[comp] = idx
 
     # Fiber-type components (special fibers and general fibers alike).
-    fiber_ids = [c.cid for c in cfg.components if c.cid[0] in ("F", "R")]
+    fiber_ids = [c.cid for c in cfg.components if c.kind in ("fiber", "general_fiber")]
     chain_of: dict[str, tuple] = {}
     fiber_of_chain: dict[str, str] = {}
     for tang in cfg.tangencies:
@@ -278,22 +275,12 @@ def search_assignment(
     for gc, f in fiber_of_chain.items():
         chains_of_fiber[f].append(gc)
 
-    def value(comp: str, nu: dict[str, int]) -> int:
-        entry = chain_of.get(comp)
-        if entry is None:
-            return nu[comp]
-        tang, k = entry
-        a, b = tang.sections
-        return (k * (nu[a] + nu[b]) + nu[tang.fiber]) % q
-
     def node_ok(node, nu: dict[str, int]) -> bool:
-        vi, vj = value(node[0], nu), value(node[1], nu)
+        """Residue test of a staged (section-section) node."""
+        vi, vj = nu[node[0]], nu[node[1]]
         if vi == 0 or vj == 0:
             return False
-        a = (-vj * pow(vi, q - 2, q)) % q
-        if node in exempt:
-            return a == q - 1
-        return a in good
+        return (-vj * pow(vi, q - 2, q)) % q in allowed(node)
 
     attempts = 0
     budget_cap = 0
@@ -301,12 +288,6 @@ def search_assignment(
 
     n_sec = n_steps
     n_y = len(fiber_ids)
-
-    def _xsum(nu: dict[str, int]) -> int:
-        total = 0
-        for _, comps in steps:
-            total += nu[comps[0]]
-        return total
 
     # Seeded per-fiber value orders for reconstruction (favoring variety).
     orders_y: list[list[int]] = [[] for _ in range(n_y)]
@@ -329,7 +310,7 @@ def search_assignment(
             return 1, 0
         return 0, nu[comp] % q
 
-    def solve_fibers(nu: dict[str, int]) -> dict[str, int] | None:
+    def solve_fibers(nu: dict[str, int], xsum: int) -> dict[str, int] | None:
         """Phase 2: pick one good value per fiber hitting the exact sum.
 
         Every multiplicity attached to a fiber (the fiber itself and its
@@ -343,23 +324,22 @@ def search_assignment(
         """
         nonlocal attempts
         feasible_sets.clear()
-        target = q if problem.family is Family.APRIME else q - weight * _xsum(nu)
+        target = q if problem.family is Family.APRIME else q - weight * xsum
         if target < n_y:
             return None
         cap = min(target - (n_y - 1), q - 1)
         feasible: list[list[int]] = []
         for f in fiber_ids:
-            allowed: set[int] | None = None
+            solutions: set[int] | None = None
             for node in fiber_nodes[f]:
                 attempts += 1
                 if attempts > budget_cap:
                     return None
                 a1, b1 = _linear_form(node[0], nu)
                 a2, b2 = _linear_form(node[1], nu)
-                residues = (q - 1,) if node in exempt else good
                 sols: set[int] = set()
                 vacuous = False
-                for a in residues:
+                for a in allowed(node):
                     den = (a * a1 + a2) % q
                     num = (-(a * b1 + b2)) % q
                     if den == 0:
@@ -370,18 +350,18 @@ def search_assignment(
                     sols.add(num * inv[den] % q)
                 if vacuous:
                     continue
-                allowed = sols if allowed is None else (allowed & sols)
-                if not allowed:
+                solutions = sols if solutions is None else (solutions & sols)
+                if not solutions:
                     break
-            if allowed is not None and not allowed:
+            if solutions is not None and not solutions:
                 return None
             # multiplicities along the chain must stay nonzero, and v >= 1
             forbidden = {(-_linear_form(gc, nu)[1]) % q for gc in chains_of_fiber[f]}
             forbidden.add(0)
-            if allowed is None:
+            if solutions is None:
                 vals = [v for v in range(1, cap + 1) if v not in forbidden]
             else:
-                vals = sorted(v for v in allowed if 1 <= v <= cap and v not in forbidden)
+                vals = sorted(v for v in solutions if 1 <= v <= cap and v not in forbidden)
             if not vals:
                 return None
             feasible.append(vals)
@@ -419,7 +399,7 @@ def search_assignment(
     def dfs(idx: int, xsum: int, asum: int) -> dict[str, int] | None:
         nonlocal attempts
         if idx == n_sec:
-            return solve_fibers(nu)
+            return solve_fibers(nu, xsum)
         kind, comps = steps[idx]
         if kind == "x":
             hi = (q - weight * (xsum + n_sec - idx - 1) - n_y) // weight

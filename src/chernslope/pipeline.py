@@ -2,22 +2,29 @@
 
 `run_pipeline` chains the density solver with (optionally) a sampled cover:
 a prime q is chosen (or taken from the hint), a good branch assignment is
-searched with a deterministic seed schedule, and the cover invariants plus
-the nef summary at q are attached. Identical inputs yield byte-identical
-JSON. Parameter sets whose resolved configuration would be enormous skip
-the sampled leg and say so in the report.
+searched with a deterministic seed schedule (`find_assignment`, doubling q
+while it fails), and the cover invariants plus the nef summary at q are
+attached. Identical inputs yield byte-identical JSON. Parameter sets whose
+resolved configuration would be enormous skip the sampled leg and say so in
+the report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from . import density
-from .geometry import Family, build_resolution
+from .geometry import Family, ResolvedConfiguration, build_resolution
 from .nefcheck import closed_entries, _t_value
 from .numtheory import next_prime
-from .partitions import NotFound, PartitionProblem, sample_with_stats, search_assignment
-from .rootcover import chern_of_cover
+from .partitions import (
+    NotFound,
+    PartitionProblem,
+    min_feasible_q,
+    sample_with_stats,
+    search_assignment,
+    verify_asymptotic,
+)
+from .rootcover import BranchAssignment, chern_of_cover
 from .serialize import canonical_json
 
 DEFAULT_COMPONENT_CAP = 250_000
@@ -29,11 +36,27 @@ def _estimated_components(params) -> int:
     return params.d + extra + params.u + params.w + params.delta * (1 + params.chain_length)
 
 
-def _min_feasible_q(params) -> int:
-    if params.family is Family.APRIME:
-        return max(params.l, params.delta) + 1
-    weight = params.e * params.chain_length
-    return weight * (params.d + params.u) + params.delta + params.w + 1
+def find_assignment(
+    config: ResolvedConfiguration, q: int, seed: int, max_tries: int
+) -> tuple[BranchAssignment | NotFound, int, str | None]:
+    """Rejection sampling, then the deterministic backtracking search, at q.
+
+    Returns (result, tries, method): `tries` counts the sampler's draws and
+    `method` is "rejection", "backtracking" or None. On failure the NotFound
+    carries the search's attempt count as `tries` and the sampler's
+    zero_hits, fewest_bad and worst_node.
+    """
+    problem = PartitionProblem(config, q)
+    sampled, tries = sample_with_stats(problem, seed=seed, max_tries=max_tries)
+    if not isinstance(sampled, NotFound):
+        return sampled, tries, "rejection"
+    found = search_assignment(problem, seed=seed)
+    if isinstance(found, NotFound):
+        return replace(sampled, tries=found.tries), tries, None
+    # a sampler hit has passed the residue rule already; the search's has not
+    if not verify_asymptotic(config, found).ok:
+        raise RuntimeError(f"backtracking search returned a bad assignment at q = {q}")
+    return found, tries, "backtracking"
 
 
 @dataclass(frozen=True)
@@ -118,28 +141,18 @@ def run_pipeline(
     if q_hint is not None:
         q = q_hint
     else:
-        q = next_prime(max(17, _min_feasible_q(params), config.t2))
+        q = next_prime(max(17, min_feasible_q(params), config.t2))
     while q == p:
         q = next_prime(q + 1)
 
-    result = None
-    tries = 0
-    method = None
     attempts_log: list[dict] = []
     for _escalation in range(6):
-        problem = PartitionProblem(config, q)
-        result, tries = sample_with_stats(problem, seed=seed, max_tries=max_tries)
-        if not isinstance(result, NotFound):
-            method = "rejection"
-            break
-        rejection_tries = result.tries
-        result = search_assignment(problem, seed=seed)
-        if not isinstance(result, NotFound):
-            method = "backtracking"
+        result, tries, method = find_assignment(config, q, seed, max_tries)
+        if method is not None:
             break
         attempts_log.append({
             "q": q,
-            "rejection_tries": rejection_tries,
+            "rejection_tries": tries,
             "search_attempts": result.tries,
         })
         if q_hint is not None:
@@ -147,7 +160,7 @@ def run_pipeline(
         q = next_prime(2 * q)
         while q == p:
             q = next_prime(q + 1)
-    if isinstance(result, NotFound):
+    if method is None:
         report["status"] = "not_found"
         report["sampled"] = {
             "q": q,

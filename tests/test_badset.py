@@ -57,6 +57,12 @@ class TestBadSetMembers:
             members = set(bad_set(q, ONE).members)
             assert members == {q - a for a in members}
 
+    def test_contains_agrees_with_members(self):
+        for q in (17, 101, 1009):
+            bs = bad_set(q, 1)
+            assert [a for a in range(1, q) if a in bs] == list(bs.members)
+            assert 0 not in bs and q not in bs
+
 
 class TestFareyPoints:
     def test_denominators_bounded_by_sqrt_q(self):

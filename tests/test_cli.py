@@ -152,3 +152,10 @@ class TestConfigFile:
         assert json.loads(via_file.stdout)["q"] == 7
         overridden = run_cli("--config", str(cfg), "dedekind", "--q", "5", "--a", "1")
         assert json.loads(overridden.stdout)["q"] == 5
+
+    def test_config_without_path_exits_2(self):
+        proc = run_cli("dedekind", "--q", "7", "--a", "2", "--config")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1

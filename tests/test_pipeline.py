@@ -1,7 +1,12 @@
 """End-to-end report assembly and reproducibility."""
 from fractions import Fraction
 
+import pytest
+
+from chernslope import pipeline
+from chernslope.geometry import ArrangementParams, Family, build_resolution
 from chernslope.pipeline import run_pipeline
+from chernslope.rootcover import BranchAssignment
 from chernslope.serialize import canonical_json, jsonable, rat
 
 
@@ -56,3 +61,13 @@ class TestRunPipeline:
                               seed=2, q_hint=8009)
         sampled = result.report["sampled"]
         assert sampled["q"] == 8009
+
+
+class TestFindAssignment:
+    def test_rejects_a_bad_backtracking_result(self, monkeypatch):
+        config = build_resolution(ArrangementParams(Family.A, p=2, r=1, e=1, d=3, u=1, w=1))
+        base = {"S1": 1, "S2": 1, "S3": 1, "H1": 1, "F1": 2, "F2": 2, "F3": 2, "R1": 3, "S4": 13}
+        bad = BranchAssignment.from_base(config, 17, base)
+        monkeypatch.setattr(pipeline, "search_assignment", lambda problem, seed: bad)
+        with pytest.raises(RuntimeError):
+            pipeline.find_assignment(config, 17, seed=0, max_tries=0)
