@@ -4,6 +4,14 @@ A residue a in {1, .., q-1} is *bad* when it falls within distance
 C*sqrt(q)/d^2 of some Farey point q*c/d with 1 <= d <= sqrt(q),
 0 <= c <= d and gcd(c, d) = 1. Membership is decided by the exact squared
 comparison (a*d - q*c)^2 * d^2 <= C^2 * q, so the split involves no floats.
+
+`bad_set` builds F one denominator at a time. With C = cn/cd and
+x = a*d - q*c, the test reads x^2 <= cn^2*q / (d^2*cd^2); x^2 is an
+integer, so it is |x| <= R_d = isqrt(cn^2*q // (d^2*cd^2)). The nearest c to
+a*d/q lies in [0, d] and minimises |x|, so the residues a that pass for d
+are exactly x * d^-1 mod q for 0 < |x| <= R_d. The gcd condition can be
+dropped: a non-reduced pair k*(c', d') gives x = k*x' and the test scales by
+k^4, so it passes only where (c', d') already does. This is O(|F|) work.
 Good residues enjoy the length and Dedekind-sum bounds checked by
 `verify_bounds`.
 """
@@ -13,6 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator
 
 import mpmath
@@ -66,8 +75,10 @@ class BadSet:
 
     @property
     def complement(self) -> tuple[int, ...]:
-        bad = set(self.members)
-        return tuple(a for a in range(1, self.q) if a not in bad)
+        """The good residues in ascending order: the runs between members."""
+        m = self.members
+        runs = (range(lo + 1, hi) for lo, hi in zip((0, *m), (*m, self.q)))
+        return tuple(chain.from_iterable(runs))
 
     def __contains__(self, a: int) -> bool:
         i = bisect.bisect_left(self.members, a)
@@ -80,19 +91,15 @@ def bad_set(q: int, C) -> BadSet:
         raise DomainError(f"q must be a prime >= 2, got {q}")
     C = _as_positive_fraction(C)
     cn, cd = C.numerator, C.denominator
-    sq = math.isqrt(q)
     bad: set[int] = set()
-    for d in range(1, sq + 1):
-        d2 = d * d
-        rhs = cn * cn * q
-        spread = (cn * (sq + 1)) // (cd * d2) + 2
-        for c in range(0, d + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            center = (q * c) // d
-            for a in range(center - spread, center + spread + 2):
-                if 1 <= a <= q - 1 and (a * d - q * c) ** 2 * d2 * cd * cd <= rhs:
-                    bad.add(a)
+    for d in range(1, math.isqrt(q) + 1):
+        # x and -x for x <= q // 2 already reach every nonzero residue
+        r = min(math.isqrt(cn * cn * q // (d * d * cd * cd)), q // 2)
+        inv = pow(d, -1, q)
+        for x in range(1, r + 1):
+            a = x * inv % q
+            bad.add(a)
+            bad.add(q - a)
     return BadSet(q, C, tuple(sorted(bad)))
 
 

@@ -361,8 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
+
+
+def _options_by_command(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand's long options, keyed by flag, without --help."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag: action for action in p._actions if action.dest != "help"
+               for flag in action.option_strings}
+        for name, p in sub.choices.items()
+    }
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Turn `--config FILE` key=value pairs into leading CLI defaults."""
+    """Turn `--config FILE` key=value pairs into leading CLI defaults.
+
+    A key is skipped when the chosen subcommand lacks it but another one
+    has it, so one file can serve several subcommands; a key no subcommand
+    has is an error. A flag that takes no value (`verify`, `no_sample`, ...)
+    is given as 1/true/yes to set it or 0/false/no to leave it unset.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -370,6 +389,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
+    commands = _options_by_command(parser)
+    options = commands.get(rest[0], {}) if rest else {}
     injected: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -377,7 +398,19 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
+            key, value = key.strip(), value.strip()
+            flag = f"--{key.replace('_', '-')}"
+            if not any(flag in opts for opts in commands.values()):
+                raise ValueError(f"unknown config key '{key}'")
+            action = options.get(flag)
+            if action is None:
+                continue
+            if action.nargs != 0:
+                injected += [flag, value]
+            elif value.lower() in _TRUE:
+                injected.append(flag)
+            elif value.lower() not in _FALSE:
+                raise ValueError(f"config key '{key}' takes 1/true/yes or 0/false/no, got '{value}'")
     # config-derived options go right after the subcommand so explicit flags win
     if not rest:
         return rest

@@ -1,8 +1,10 @@
 """Exact Hirzebruch-Jung continued fractions and Dedekind sums.
 
 Everything in this module is integer / `fractions.Fraction` arithmetic; no
-floats anywhere. The defining O(q) Dedekind sum is kept alongside the fast
-reciprocity-based evaluation so the two can be pitted against each other.
+floats anywhere. `dedekind_data` is the one definition of the HJ digits,
+the Dedekind sum and the c-invariant: a single HJ pass gives all three.
+The defining O(q) Dedekind sum is kept alongside it so the two can be
+pitted against each other.
 """
 from __future__ import annotations
 
@@ -91,20 +93,24 @@ class HJExpansion:
         return acc
 
 
-def hj_expand(q: int, a: int) -> HJExpansion:
-    """Negative-regular continued fraction of q/a for coprime 0 < a < q."""
-    _check_pair(q, a)
+def _hj_digits(q: int, a: int) -> tuple[int, ...]:
     digits = []
     qq, aa = q, a
     while aa > 0:
         e = -(-qq // aa)  # ceil(qq/aa)
         digits.append(e)
         qq, aa = aa, e * aa - qq
-    return HJExpansion(q, a, tuple(digits))
+    return tuple(digits)
+
+
+def hj_expand(q: int, a: int) -> HJExpansion:
+    """Negative-regular continued fraction of q/a for coprime 0 < a < q."""
+    _check_pair(q, a)
+    return HJExpansion(q, a, _hj_digits(q, a))
 
 
 def hj_length(q: int, a: int) -> int:
-    return hj_expand(q, a).length
+    return dedekind_data(q, a).length
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +140,18 @@ def dedekind_sum_direct(q: int, a: int) -> Fraction:
 
 
 def dedekind_sum(q: int, a: int) -> Fraction:
-    """s(a, q) via the reciprocity recursion; O(log q) Euclid steps.
+    """s(a, q) from the HJ digits e_i of q/a; one integer step per digit.
 
-    Uses s(a, q) = -1/4 + (a/q + q/a + 1/(aq))/12 - s(q mod a, a)
-    with s(0, 1) = 0.
+    Uses 12 s(a, q) = sum_i (e_i - 3) + (a + a') / q, where a' is the
+    inverse of a mod q (Hirzebruch-Zagier, The Atiyah-Singer theorem and
+    elementary number theory, 1974).
     """
-    _check_pair(q, a)
-    total = Fraction(0)
-    sign = 1
-    aa, qq = a, q
-    while aa:
-        total += sign * (Fraction(aa * aa + qq * qq + 1, 12 * aa * qq) - Fraction(1, 4))
-        aa, qq, sign = qq % aa, aa, -sign
-    return total
+    return dedekind_data(q, a).s
 
 
 def c_value(q: int, a: int) -> Fraction:
     """c(a, q) = 12 s(a, q) + length of the HJ expansion of q/a."""
-    return 12 * dedekind_sum(q, a) + hj_length(q, a)
+    return dedekind_data(q, a).c
 
 
 @dataclass(frozen=True)
@@ -173,5 +173,8 @@ class DedekindData:
 
 
 def dedekind_data(q: int, a: int) -> DedekindData:
-    exp = hj_expand(q, a)
-    return DedekindData(q=q, a=a, s=dedekind_sum(q, a), digits=exp.digits)
+    """HJ digits, Dedekind sum and c-invariant of (a, q) from one HJ pass."""
+    _check_pair(q, a)
+    digits = _hj_digits(q, a)
+    s = Fraction(q * (sum(digits) - 3 * len(digits)) + a + pow(a, -1, q), 12 * q)
+    return DedekindData(q=q, a=a, s=s, digits=digits)

@@ -1,4 +1,5 @@
 """Bad/good residue split at a prime and the exact bound checks."""
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,17 +17,18 @@ from chernslope.numtheory import DomainError, c_value, hj_length, primes_between
 ONE = Fraction(1)
 
 
-def brute_force_bad(q: int) -> set[int]:
+def brute_force_bad(q: int, C: Fraction = ONE) -> set[int]:
     """Triple-loop oracle: a is bad iff some reduced c/d with d <= sqrt(q)
-    satisfies (a d - q c)^2 d^2 <= q (squared form of |a/q - c/d| <= 1/(d^2 sqrt(q)))."""
+    satisfies (a d - q c)^2 d^2 <= C^2 q (squared form of
+    |a/q - c/d| <= C/(d^2 sqrt(q)))."""
     out = set()
-    dmax = math.isqrt(q)
-    for a in range(1, q):
-        for d in range(1, dmax + 1):
-            for c in range(0, d + 1):
-                if math.gcd(c, d) != 1:
-                    continue
-                if (a * d - q * c) ** 2 * d ** 2 <= q:
+    lhs_scale, rhs = C.denominator ** 2, C.numerator ** 2 * q
+    for d in range(1, math.isqrt(q) + 1):
+        for c in range(0, d + 1):
+            if math.gcd(c, d) != 1:
+                continue
+            for a in range(1, q):
+                if (a * d - q * c) ** 2 * d ** 2 * lhs_scale <= rhs:
                     out.add(a)
     return out
 
@@ -35,6 +37,24 @@ class TestBadSetMembers:
     def test_matches_brute_force(self):
         for q in (17, 19, 23, 29, 53, 101):
             assert set(bad_set(q, ONE).members) == brute_force_bad(q)
+
+    @pytest.mark.parametrize("C", [ONE, Fraction(1, 2), Fraction(3, 2), Fraction(7)],
+                             ids=str)
+    def test_matches_brute_force_every_prime_below_400(self, C):
+        for q in primes_between(2, 399):
+            assert set(bad_set(q, C).members) == brute_force_bad(q, C), q
+
+    def test_pinned_at_large_prime(self):
+        # size and hash taken from the window-scan construction this replaced
+        members = bad_set(1000003, ONE).members
+        digest = hashlib.sha256(",".join(map(str, members)).encode()).hexdigest()
+        assert (len(members), digest[:16]) == (9974, "9272b9a161528045")
+
+    def test_complement_is_ascending_good_set(self):
+        for q in (17, 101, 1009):
+            bs = bad_set(q, ONE)
+            assert list(bs.complement) == sorted(set(range(1, q)) - set(bs.members))
+            assert good_residues(q, ONE) == frozenset(bs.complement)
 
     def test_known_good_residues_at_17(self):
         assert set(good_residues(17, ONE)) == {5, 7, 10, 12}

@@ -88,10 +88,19 @@ class TestSearchAndCover:
         assert proc.returncode == 3
 
 
+APRIME_SLOPE = ("slope", "--target", "14/5", "--eps", "4/5", "--family", "APRIME",
+                "--seed", "2")
+
+
+@pytest.fixture(scope="module")
+def aprime_slope():
+    """One CLI run of the pinned APRIME case, shared by the tests that read it."""
+    return run_cli(*APRIME_SLOPE)
+
+
 class TestSlope:
-    def test_end_to_end_json(self):
-        proc = run_cli("slope", "--target", "14/5", "--eps", "4/5",
-                       "--family", "APRIME", "--seed", "2")
+    def test_end_to_end_json(self, aprime_slope):
+        proc = aprime_slope
         assert proc.returncode == 0
         out = json.loads(proc.stdout)
         assert out["status"] == "ok"
@@ -105,10 +114,8 @@ class TestSlope:
         assert out["status"] == "ok"
         assert "skipped" in out["sampled"]
 
-    def test_reproducible(self):
-        args = ("slope", "--target", "14/5", "--eps", "4/5", "--family", "APRIME",
-                "--seed", "2")
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+    def test_reproducible(self, aprime_slope):
+        assert aprime_slope.stdout == run_cli(*APRIME_SLOPE).stdout
 
 
 class TestPrank:
@@ -159,3 +166,35 @@ class TestConfigFile:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_boolean_key_takes_one_or_zero(self, tmp_path):
+        cfg = tmp_path / "opts.conf"
+        for value, has_bounds in (("1", True), ("yes", True), ("true", True),
+                                  ("0", False), ("no", False), ("false", False)):
+            cfg.write_text(f"q=101\nverify={value}\n")
+            proc = run_cli("--config", str(cfg), "badset")
+            assert proc.returncode == 0, (value, proc.stderr)
+            assert ("bounds" in json.loads(proc.stdout)) is has_bounds, value
+
+    def test_boolean_key_with_other_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("q=101\nverify=maybe\n")
+        proc = run_cli("--config", str(cfg), "badset")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_key_of_another_subcommand_is_skipped(self, tmp_path):
+        # one file serving dedekind and search: seed/max_tries/family are search's
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("q=7\na=2\nseed=3\nmax_tries=50\nfamily=A\n")
+        proc = run_cli("--config", str(cfg), "dedekind")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["digits"] == [4, 2]
+
+    def test_unknown_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("q=7\na=2\nbogus_key=1\n")
+        proc = run_cli("--config", str(cfg), "dedekind")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unknown config key 'bogus_key'\n"

@@ -101,6 +101,14 @@ class TestDedekindSum:
         rhs = Fraction(-1, 4) + Fraction(a * a + q * q + 1, 12 * a * q)
         assert dedekind_sum(q, a) + s_aq == rhs
 
+    def test_hj_identity_matches_defining_sum(self):
+        # composite q included: the identity needs only gcd(a, q) = 1
+        for q, a in coprime_pairs(249):
+            data = dedekind_data(q, a)
+            direct = dedekind_sum_direct(q, a)
+            assert data.s == direct, (q, a)
+            assert c_value(q, a) == data.c == 12 * direct + hj_expand(q, a).length
+
     def test_negation_symmetry(self):
         for q, a in coprime_pairs(60):
             assert dedekind_sum(q, q - a) == -dedekind_sum(q, a)

@@ -26,13 +26,12 @@ class TestSerialization:
 
 
 class TestRunPipeline:
-    def test_byte_identical_reruns(self):
-        kwargs = dict(target=Fraction(14, 5), epsilon=Fraction(4, 5),
-                      family="APRIME", seed=2)
-        assert run_pipeline(**kwargs).to_json() == run_pipeline(**kwargs).to_json()
+    def test_byte_identical_reruns(self, aprime_result):
+        rerun = run_pipeline(Fraction(14, 5), Fraction(4, 5), family="APRIME", seed=2)
+        assert aprime_result.to_json() == rerun.to_json()
 
-    def test_sampled_leg_attaches_cover_invariants(self):
-        result = run_pipeline(Fraction(14, 5), Fraction(4, 5), family="APRIME", seed=2)
+    def test_sampled_leg_attaches_cover_invariants(self, aprime_result):
+        result = aprime_result
         assert result.status == "ok"
         sampled = result.report["sampled"]
         assert sampled["method"] in ("rejection", "backtracking")
