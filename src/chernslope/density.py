@@ -153,7 +153,8 @@ def solve_family_aprime(
     n and exponent z with n*(2 alpha - 2 eps/3) <= p^z <= n*(2 alpha + 2
     eps/3), then l = n*p^y and r = z + y with y, e scanned until the two
     remaining thirds of the budget close. Targets at (or within epsilon/3
-    of) 2 fall back to e = 1, r = 1 and a plain scan over l.
+    of) 2 fall back to e = 1, r = 1 and the first l whose offset is within
+    epsilon, found by bisection (`cap_hit` if it is not below l_cap).
     """
     x = as_fraction(target)
     eps = as_fraction(epsilon)
@@ -164,20 +165,47 @@ def solve_family_aprime(
     alpha = x - 2
 
     if alpha <= eps / 3:
-        # slope offset decreases to 0 like p/(2l); walk it below alpha + eps
-        best = None
-        for l in range(3, l_cap):
-            frac = _aprime_fraction(p, 1, 1, l)
-            err = abs(frac - alpha)
-            if best is None or err < best[2]:
-                best = (l, frac, err)
-            if err < eps:
-                params = ArrangementParams(Family.APRIME, p=p, r=1, e=1, d=2 * l)
-                return SolvedParams(x, eps, params, 2 + frac, err, "ok",
-                                    {"route": "small-offset scan", "l": l})
-        l, frac, err = best
+        # The slope offset f(l) decreases to 0 like p/(2l); find the first l
+        # in [3, l_cap) with |f(l) - alpha| < eps, i.e. f(l) < alpha + eps
+        # (f > 0 > alpha - eps there). f is unimodal on l >= 3:
+        # f(l) - f(l+1) has the sign of l(l+1)(h(l) - 2p) with
+        # h(l) = (8l^4 - 24l^3 - 18l^2 - 2l + 12) / (l(l+1)) increasing
+        # (h(l+1) - h(l) = 8(2l-3)(l^3+3l^2+2l+1) / (l(l+1)(l+2)) > 0), so f
+        # rises up to some L (L = 4 for p <= 5) and then falls, strictly on
+        # both sides: h(l) = 2p would need 2l(l+1) | 16l - 12, so l <= 6,
+        # and no such l gives a prime p.
+        # Unless l = 3 passes, the pass test is therefore monotone in l, and
+        # doubling then bisection finds the first passing l.
+        if l_cap <= 3:
+            raise DomainError(f"l_cap must exceed 3, got {l_cap}")
+        bound = alpha + eps
+
+        def passes(l: int) -> bool:
+            return _aprime_fraction(p, 1, 1, l) < bound
+
+        last = l_cap - 1
+        if passes(3):
+            l, status = 3, "ok"
+        elif not passes(last):
+            # nothing passes below l_cap: every err is f(l) - alpha, least
+            # at an end of the unimodal range (the first on a tie)
+            l, status = last, "cap_hit"
+            if _aprime_fraction(p, 1, 1, 3) <= _aprime_fraction(p, 1, 1, last):
+                l = 3
+        else:
+            lo, hi = 3, 4
+            while not passes(hi):
+                lo, hi = hi, min(2 * hi, last)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if passes(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            l, status = hi, "ok"
+        frac = _aprime_fraction(p, 1, 1, l)
         params = ArrangementParams(Family.APRIME, p=p, r=1, e=1, d=2 * l)
-        return SolvedParams(x, eps, params, 2 + frac, err, "cap_hit",
+        return SolvedParams(x, eps, params, 2 + frac, abs(frac - alpha), status,
                             {"route": "small-offset scan", "l": l})
 
     beta = 2 * alpha - 2 * eps / 3

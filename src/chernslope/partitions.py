@@ -206,6 +206,80 @@ def _section_steps(problem: PartitionProblem):
     return steps
 
 
+# Total bits the node-image memo of one search may hold (one image is q
+# bits); past it the memo is cleared. Images are pure functions of their
+# key, so clearing changes speed only.
+_IMAGE_MEMO_BITS = 1 << 26
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class NodeImages:
+    """Memoised residue images of nodes whose ends are linear in one unknown.
+
+    A node whose two end multiplicities are a1*v + b1 and a2*v + b2 (mod q)
+    in an unknown v has the image
+
+        {v in Z/q : some a in allowed has a*(a1*v + b1) + (a2*v + b2) = 0},
+
+    held as an int with bit v set. It includes every v at which both ends
+    vanish, since every a then works. Shifting v by t = b1/a1 (or b2/a2
+    when a1 = 0) turns the image into a bit rotation of the image of
+    (a1, b1 - a1*t, a2, b2 - a2*t), so nodes that differ by a translation
+    of v share one evaluation of the node residue at every v.
+    """
+
+    def __init__(self, q: int) -> None:
+        self.q = q
+        self.full = (1 << q) - 1
+        self._inv = [0] + [pow(v, -1, q) for v in range(1, q)]
+        self._neg_inv = [(q - x) % q for x in self._inv]
+        self._member: dict[frozenset[int], bytes] = {}
+        self._memo: dict[tuple, int] = {}
+
+    def __call__(self, allowed: frozenset[int], a1: int, b1: int, a2: int, b2: int) -> int:
+        key = (allowed, a1, b1, a2, b2)
+        img = self._memo.get(key)
+        if img is not None:
+            return img
+        q = self.q
+        t = b1 * self._inv[a1] % q if a1 else b2 * self._inv[a2] % q
+        if t:
+            base = self(allowed, a1, (b1 - a1 * t) % q, a2, (b2 - a2 * t) % q)
+            img = ((base >> t) | (base << (q - t))) & self.full
+        else:
+            img = self._evaluate(allowed, a1, b1, a2, b2)
+        if (len(self._memo) + 1) * q > _IMAGE_MEMO_BITS:
+            self._memo.clear()
+        self._memo[key] = img
+        return img
+
+    def _evaluate(self, allowed: frozenset[int], a1: int, b1: int, a2: int, b2: int) -> int:
+        q = self.q
+        member = self._member.get(allowed)
+        if member is None:
+            member = self._member[allowed] = bytes(a in allowed for a in range(q))
+        neg_inv = self._neg_inv
+        # the residue -m_j/m_i at every v; neg_inv[0] = 0 sends a vanishing
+        # first end to residue 0, which no rule allows
+        bits = bytearray(map(member.__getitem__, [
+            (a2 * v + b2) * neg_inv[(a1 * v + b1) % q] % q for v in range(q)
+        ]))
+        if a1:
+            zeros = ((q - b1) * self._inv[a1] % q,)
+        else:
+            zeros = range(q) if b1 == 0 else ()
+        for v in zeros:
+            bits[v] = (a2 * v + b2) % q == 0
+        return int(bits.translate(_BINARY_DIGITS)[::-1], 2)
+
+
+def _set_bits(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, ascending."""
+    digits = bin(x)[:1:-1]
+    return [i for i, c in enumerate(digits) if c == "1"]
+
+
 def search_assignment(
     problem: PartitionProblem,
     seed: int,
@@ -220,19 +294,31 @@ def search_assignment(
     configuration's structure instead: fibers are pairwise disjoint, so
     once the section multiplicities are fixed, each fiber unknown is
     constrained independently of the others except through the sum-to-q
-    equation. Phase 1 runs a depth-first search over the few section
-    unknowns, checking section-section node residues as soon as both ends
-    are fixed. Phase 2 computes, per fiber, the set of values making all
-    of that fiber's node residues good (and its exceptional-chain
-    multiplicities nonzero), then solves the remaining sum constraint by a
-    bitset subset-sum sweep over the fibers. The seed only permutes value
-    orders, so identical (problem, seed) yields identical output. Returns
-    NotFound with the number of value attempts if the budget runs out.
+    equation.
+
+    Both phases see every node they check as two ends linear in the
+    unknown of the current step, and read its feasible values from one
+    memoised `NodeImages` bitset owned by this call. Phase 1 runs a
+    depth-first search over the few section unknowns: entering a step, it
+    intersects the images of the section-section nodes the step completes,
+    clears the values at which a node end vanishes, and tries the step's
+    candidates against that mask. Phase 2 intersects, per fiber, the images
+    of that fiber's nodes, keeps values 1..cap with nonzero chain
+    multiplicities, and solves the remaining sum constraint by a bitset
+    subset-sum sweep over the fibers.
+
+    One attempt is one phase-1 candidate tried (passing or not) or one
+    phase-2 node image intersected; each of 8 seeded restarts gets a slice
+    of `node_budget` attempts. The seed only permutes value orders, so
+    identical (problem, seed) yields identical output. Returns NotFound
+    with the number of attempts if the budget runs out or the search space
+    is exhausted.
     """
     cfg = problem.config
     params = cfg.params
     q = problem.q
     allowed = residue_rule(cfg, q)
+    images = NodeImages(q)
     steps = _section_steps(problem)
     n_steps = len(steps)
     weight = params.e * params.chain_length
@@ -260,27 +346,21 @@ def search_assignment(
 
     # Split nodes: section-section ones are checkable during phase 1 (staged
     # by the later of the two section steps); every other node involves
-    # exactly one fiber and joins that fiber's phase-2 constraint set.
-    stage_nodes: list[list[tuple[str, str, int]]] = [[] for _ in range(n_steps)]
-    fiber_nodes: dict[str, list[tuple[str, str, int]]] = {f: [] for f in fiber_ids}
+    # exactly one fiber and joins that fiber's phase-2 constraint set. Each
+    # is kept as (allowed residues, first end, second end).
+    stage_nodes: list[list[tuple[frozenset[int], str, str]]] = [[] for _ in range(n_steps)]
+    fiber_nodes: dict[str, list[tuple[frozenset[int], str, str]]] = {f: [] for f in fiber_ids}
     for node in cfg.nodes:
         i, j, _count = node
         touched = {f for f in (fiber_touched(i), fiber_touched(j)) if f is not None}
         if not touched:
-            stage_nodes[max(pos[i], pos[j])].append(node)
+            stage_nodes[max(pos[i], pos[j])].append((allowed(node), i, j))
         else:
             assert len(touched) == 1, "node touching two distinct fibers"
-            fiber_nodes[touched.pop()].append(node)
+            fiber_nodes[touched.pop()].append((allowed(node), i, j))
     chains_of_fiber: dict[str, list[str]] = {f: [] for f in fiber_ids}
     for gc, f in fiber_of_chain.items():
         chains_of_fiber[f].append(gc)
-
-    def node_ok(node, nu: dict[str, int]) -> bool:
-        """Residue test of a staged (section-section) node."""
-        vi, vj = nu[node[0]], nu[node[1]]
-        if vi == 0 or vj == 0:
-            return False
-        return (-vj * pow(vi, q - 2, q)) % q in allowed(node)
 
     attempts = 0
     budget_cap = 0
@@ -288,16 +368,6 @@ def search_assignment(
 
     n_sec = n_steps
     n_y = len(fiber_ids)
-
-    # Seeded per-fiber value orders for reconstruction (favoring variety).
-    orders_y: list[list[int]] = [[] for _ in range(n_y)]
-    feasible_sets: list[set[int]] = []
-
-    inv = [0] * q
-    if q > 1:
-        inv[1] = 1
-        for v in range(2, q):
-            inv[v] = (q - (q // v) * inv[q % v]) % q
 
     def _linear_form(comp: str, nu: dict[str, int]) -> tuple[int, int]:
         """Value of `comp` as alpha*v + beta in the active fiber's unknown v."""
@@ -313,65 +383,43 @@ def search_assignment(
     def solve_fibers(nu: dict[str, int], xsum: int) -> dict[str, int] | None:
         """Phase 2: pick one good value per fiber hitting the exact sum.
 
-        Every multiplicity attached to a fiber (the fiber itself and its
-        exceptional chain) is linear in the fiber's unknown v, so each node
-        residue constraint pins v to the image of the allowed residue set
-        under a Moebius map; intersecting those images gives the fiber's
-        feasible values directly. A bitset subset-sum sweep (bit s of
-        reach[t] says the first t fibers can sum to s) then decides the
-        sum-to-target equation exactly, and a backward walk reconstructs
-        one solution in seeded order.
+        Each fiber's feasible values are the intersection of its nodes'
+        images (one attempt each, stopping at the first empty
+        intersection), cut to 1..cap and to nonzero chain multiplicities.
+        A bitset subset-sum sweep (bit s of reach[t] says the first t
+        fibers can sum to s) then decides the sum-to-target equation
+        exactly, and a backward walk reconstructs one solution in value
+        orders drawn from the restart's generator.
         """
         nonlocal attempts
-        feasible_sets.clear()
         target = q if problem.family is Family.APRIME else q - weight * xsum
         if target < n_y:
             return None
         cap = min(target - (n_y - 1), q - 1)
-        feasible: list[list[int]] = []
+        window = ((1 << cap) - 1) << 1  # values 1..cap
+        feasible: list[int] = []
         for f in fiber_ids:
-            solutions: set[int] | None = None
-            for node in fiber_nodes[f]:
+            sol = images.full
+            for rule, i, j in fiber_nodes[f]:
                 attempts += 1
                 if attempts > budget_cap:
                     return None
-                a1, b1 = _linear_form(node[0], nu)
-                a2, b2 = _linear_form(node[1], nu)
-                sols: set[int] = set()
-                vacuous = False
-                for a in allowed(node):
-                    den = (a * a1 + a2) % q
-                    num = (-(a * b1 + b2)) % q
-                    if den == 0:
-                        if num == 0:
-                            vacuous = True
-                            break
-                        continue
-                    sols.add(num * inv[den] % q)
-                if vacuous:
-                    continue
-                solutions = sols if solutions is None else (solutions & sols)
-                if not solutions:
-                    break
-            if solutions is not None and not solutions:
+                sol &= images(rule, *_linear_form(i, nu), *_linear_form(j, nu))
+                if not sol:
+                    return None
+            sol &= window
+            # multiplicities along the chain must stay nonzero
+            for gc in chains_of_fiber[f]:
+                sol &= ~(1 << (-_linear_form(gc, nu)[1] % q))
+            if not sol:
                 return None
-            # multiplicities along the chain must stay nonzero, and v >= 1
-            forbidden = {(-_linear_form(gc, nu)[1]) % q for gc in chains_of_fiber[f]}
-            forbidden.add(0)
-            if solutions is None:
-                vals = [v for v in range(1, cap + 1) if v not in forbidden]
-            else:
-                vals = sorted(v for v in solutions if 1 <= v <= cap and v not in forbidden)
-            if not vals:
-                return None
-            feasible.append(vals)
-            feasible_sets.append(set(vals))
+            feasible.append(sol)
         mask = (1 << (target + 1)) - 1
         reach = [1]
-        for vals in feasible:
+        for sol in feasible:
             cur = reach[-1]
             nxt = 0
-            for v in vals:
+            for v in _set_bits(sol):
                 nxt |= cur << v
             nxt &= mask
             if nxt == 0:
@@ -379,13 +427,14 @@ def search_assignment(
             reach.append(nxt)
         if not (reach[-1] >> target) & 1:
             return None
+        orders_y = [rng.sample(range(1, q), q - 1) for _ in range(n_y)]
         out: dict[str, int] = {}
         s = target
         for t in range(n_y - 1, -1, -1):
             prev = reach[t]
             chosen = None
             for v in orders_y[t]:
-                if v in feasible_sets[t] and v <= s and (prev >> (s - v)) & 1:
+                if v <= s and (feasible[t] >> v) & 1 and (prev >> (s - v)) & 1:
                     chosen = v
                     break
             assert chosen is not None
@@ -395,6 +444,26 @@ def search_assignment(
         return out
 
     nu: dict[str, int] = {}
+
+    def stage_mask(idx: int, xsum: int) -> int:
+        """Step values passing every section-section node the step completes.
+
+        No node end vanishes at a candidate: candidates lie in 1..q-1,
+        those of an "xlast" step skip the value zeroing S_{d+1}, and earlier
+        sections carry values in 1..q-1. So the images alone decide.
+        """
+        kind, comps = steps[idx]
+        forms = {comps[0]: (1, 0)}
+        if kind == "xlast":
+            forms[comps[1]] = (q - 1, (q - xsum) % q)
+        elif kind in ("a", "alast"):
+            forms[comps[1]] = (q - 1, 0)
+        mask = images.full
+        for rule, i, j in stage_nodes[idx]:
+            a1, b1 = forms.get(i) or (0, nu[i])
+            a2, b2 = forms.get(j) or (0, nu[j])
+            mask &= images(rule, a1, b1, a2, b2)
+        return mask
 
     def dfs(idx: int, xsum: int, asum: int) -> dict[str, int] | None:
         nonlocal attempts
@@ -413,10 +482,13 @@ def search_assignment(
         else:  # alast
             forced = q - asum
             candidates = (forced,) if 1 <= forced <= q - 1 else ()
+        mask = stage_mask(idx, xsum)
         for v in candidates:
             attempts += 1
             if attempts > budget_cap:
                 return None
+            if not (mask >> v) & 1:
+                continue
             if kind in ("x", "xlast"):
                 nu[comps[0]] = v
                 if kind == "xlast":
@@ -426,19 +498,20 @@ def search_assignment(
                 nu[comps[0]] = v
                 nu[comps[1]] = q - v
                 nxt = (xsum, asum + v)
-            if all(node_ok(node, nu) for node in stage_nodes[idx]):
-                ys = dfs(idx + 1, *nxt)
-                if ys is not None:
-                    return ys
-                if attempts > budget_cap:
-                    return None
+            ys = dfs(idx + 1, *nxt)
+            if ys is not None:
+                return ys
+            if attempts > budget_cap:
+                return None
             for comp in comps:
                 nu.pop(comp, None)
         return None
 
     # Deterministic restarts: each gets a fresh seeded value order and a
     # slice of the global attempt budget, so one unlucky ordering cannot
-    # burn the whole budget.
+    # burn the whole budget. Nothing else draws from a restart's `rng`
+    # after its section orders, so `solve_fibers` can draw the per-fiber
+    # orders only when it reconstructs a solution.
     restarts = 8
     slice_budget = max(1, node_budget // restarts)
     ys = None
@@ -446,8 +519,6 @@ def search_assignment(
         rng = random.Random(f"search:{seed}:{restart}")
         for i in range(n_steps):
             orders[i] = rng.sample(range(1, q), q - 1)
-        for i in range(n_y):
-            orders_y[i] = rng.sample(range(1, q), q - 1)
         budget_cap = min(node_budget, attempts + slice_budget)
         nu.clear()
         ys = dfs(0, 0, 0)

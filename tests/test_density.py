@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chernslope.density import (
+    _aprime_fraction,
     find_uv,
     lambda_fn,
     solve,
@@ -11,6 +12,7 @@ from chernslope.density import (
     solve_family_aprime,
 )
 from chernslope.geometry import Family, limit_slope
+from chernslope.numtheory import DomainError
 
 TARGETS = [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(314159, 100000),
            Fraction(4), Fraction(10)]
@@ -70,3 +72,55 @@ class TestDispatcher:
     def test_target_below_two_rejected(self):
         with pytest.raises(Exception):
             solve(Fraction(3, 2), EPS, family="A")
+
+
+def small_offset_scan(target, eps, p, l_cap):
+    """The small-offset route as a plain walk over l (reference):
+    (l, offset, err, status)."""
+    alpha = target - 2
+    best = None
+    for l in range(3, l_cap):
+        frac = _aprime_fraction(p, 1, 1, l)
+        err = abs(frac - alpha)
+        if best is None or err < best[2]:
+            best = (l, frac, err)
+        if err < eps:
+            return l, frac, err, "ok"
+    return (*best, "cap_hit")
+
+
+def assert_matches_scan(target, eps, p, l_cap=10**7):
+    solved = solve_family_aprime(target, eps, p=p, l_cap=l_cap)
+    l, frac, err, status = small_offset_scan(target, eps, p, l_cap)
+    assert solved.diagnostics == {"route": "small-offset scan", "l": l}
+    assert solved.params.d == 2 * l
+    assert (solved.params.r, solved.params.e) == (1, 1)
+    assert solved.achieved_limit == 2 + frac
+    assert solved.error == err
+    assert solved.status == status
+
+
+class TestSmallOffsetRoute:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "eps", [Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**5)]
+    )
+    def test_first_passing_l_matches_scan(self, p, eps):
+        assert_matches_scan(Fraction(2), eps, p)
+        if eps >= Fraction(1, 1000):
+            assert_matches_scan(2 + eps / 3, eps, p)
+
+    def test_offset_rising_before_it_falls(self):
+        # at p = 101 the offset grows from l = 3 up to l = 8 before it decays
+        assert _aprime_fraction(101, 1, 1, 3) < _aprime_fraction(101, 1, 1, 7)
+        for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
+            assert_matches_scan(Fraction(2), eps, 101)
+
+    @pytest.mark.parametrize("p, l_cap", [(2, 500), (2, 5), (101, 6), (101, 200)])
+    def test_cap_hit_keeps_least_error_l(self, p, l_cap):
+        assert_matches_scan(Fraction(2), Fraction(1, 1000), p, l_cap)
+        assert solve_family_aprime(2, Fraction(1, 1000), p=p, l_cap=l_cap).status == "cap_hit"
+
+    def test_cap_without_range_rejected(self):
+        with pytest.raises(DomainError):
+            solve_family_aprime(2, Fraction(1, 1000), l_cap=3)

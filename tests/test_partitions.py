@@ -1,11 +1,16 @@
 """Randomized and backtracking searches for good branch assignments."""
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from chernslope import partitions
+from chernslope.badset import good_residues
 from chernslope.geometry import ArrangementParams, Family, build_resolution
 from chernslope.numtheory import DomainError
 from chernslope.partitions import (
+    NodeImages,
     NotFound,
     PartitionProblem,
     count_estimate,
@@ -27,6 +32,31 @@ def family_a_config():
 def paired_config():
     params = ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=6)
     return build_resolution(params)
+
+
+@pytest.fixture(scope="module")
+def family_a_d4_config():
+    params = ArrangementParams(Family.A, p=2, r=1, e=1, d=4, g=0, u=1, w=1)
+    return build_resolution(params)
+
+
+def nus_digest(result) -> str:
+    return hashlib.sha256(repr(sorted(result.nus.items())).encode()).hexdigest()[:16]
+
+
+def moebius_image(allowed, q, a1, b1, a2, b2) -> set[int]:
+    """The values v with a*(a1*v + b1) + (a2*v + b2) = 0 (mod q) for some
+    allowed a, one Moebius-map point per residue a (reference)."""
+    sols = set()
+    for a in allowed:
+        den = (a * a1 + a2) % q
+        num = (-(a * b1 + b2)) % q
+        if den == 0:
+            if num == 0:
+                return set(range(q))  # vacuous: the node holds at every v
+            continue
+        sols.add(num * pow(den, -1, q) % q)
+    return sols
 
 
 class TestProblemValidation:
@@ -102,6 +132,68 @@ class TestBacktrackingSearch:
         problem = PartitionProblem(family_a_config, 101)
         result = search_assignment(problem, seed=0, node_budget=10)
         assert isinstance(result, NotFound)
+        assert result.tries == 10
+
+    @pytest.mark.parametrize(
+        "q, seed, digest",
+        [(101, 0, "367cd2d35a54e2d9"), (101, 5, "a371029cb16e16ff")],
+    )
+    def test_found_assignment_pinned(self, family_a_config, q, seed, digest):
+        result = search_assignment(PartitionProblem(family_a_config, q), seed=seed)
+        assert nus_digest(result) == digest
+
+    @pytest.mark.parametrize("seed, digest", [(0, "bf5cc8c012d4ff78"), (1, "74f42808b83d4de0")])
+    def test_paired_assignment_pinned(self, paired_config, seed, digest):
+        result = search_assignment(PartitionProblem(paired_config, 499), seed=seed)
+        assert nus_digest(result) == digest
+
+    @pytest.mark.parametrize("q, tries", [(41, 72552), (43, 100032), (47, 196440)])
+    def test_exhausted_attempts_pinned(self, family_a_d4_config, q, tries):
+        # the attempt count decides where the budget cuts a search off
+        result = search_assignment(PartitionProblem(family_a_d4_config, q), seed=0)
+        assert isinstance(result, NotFound)
+        assert result.tries == tries
+
+    def test_memo_eviction_is_invisible(self, monkeypatch, paired_config, family_a_d4_config):
+        cases = [(paired_config, 499, 0), (family_a_d4_config, 47, 0)]
+        expected = [search_assignment(PartitionProblem(c, q), seed=s) for c, q, s in cases]
+        made = []
+
+        class Recording(NodeImages):
+            def __init__(self, q):
+                super().__init__(q)
+                self.keys = set()
+                made.append(self)
+
+            def __call__(self, *key):
+                self.keys.add(key)
+                return super().__call__(*key)
+
+        monkeypatch.setattr(partitions, "NodeImages", Recording)
+        for (config, q, seed), before in zip(cases, expected):
+            monkeypatch.setattr(partitions, "_IMAGE_MEMO_BITS", 3 * q)
+            after = search_assignment(PartitionProblem(config, q), seed=seed)
+            assert after == before
+            images = made[-1]
+            assert len(images._memo) <= 3 < len(images.keys)
+
+
+class TestNodeImages:
+    @pytest.mark.parametrize("q", [41, 101, 499, 3847])
+    def test_matches_moebius_reference(self, q):
+        images = NodeImages(q)
+        rng = random.Random(q)
+        forms = [(1, 0, 1, 0), (0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (q - 1, 0, 0, 0)]
+        for _ in range(60):
+            a1, a2 = rng.choice((0, 1, q - 1)), rng.choice((0, 1, q - 1))
+            b1, b2 = rng.randrange(q), rng.randrange(q)
+            forms += [(a1, b1, a2, b2), (a1, 0, a2, b2), (a1, b1, a2, 0)]
+            forms.append((a1, b1, a1, b1))  # both ends vanish together
+        for allowed in (good_residues(q, 1), frozenset((q - 1,))):
+            for form in forms:
+                img = images(allowed, *form)
+                assert 0 <= img <= images.full
+                assert {v for v in range(q) if (img >> v) & 1} == moebius_image(allowed, q, *form)
 
 
 class TestExemptNodes:
