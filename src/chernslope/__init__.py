@@ -26,7 +26,6 @@ from .geometry import (
 from .numtheory import (
     DedekindData,
     DomainError,
-    HJExpansion,
     c_value,
     dedekind_data,
     dedekind_sum,

@@ -70,20 +70,26 @@ def ceil_isqrt(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hirzebruch-Jung (negative-regular) continued fractions
+# Hirzebruch-Jung (negative-regular) continued fractions and Dedekind sums
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HJExpansion:
-    """q/a = e1 - 1/(e2 - 1/(... - 1/es)) with every digit >= 2."""
+class DedekindData:
+    """Bundled exact invariants of a coprime pair (a, q): the HJ digits of
+    q/a = e1 - 1/(e2 - 1/(... - 1/es)), every digit >= 2, and s(a, q)."""
 
     q: int
     a: int
+    s: Fraction
     digits: tuple[int, ...]
 
     @property
     def length(self) -> int:
         return len(self.digits)
+
+    @property
+    def c(self) -> Fraction:
+        return 12 * self.s + self.length
 
     def evaluate(self) -> Fraction:
         """Fold the digits back into the exact rational q/a."""
@@ -93,28 +99,45 @@ class HJExpansion:
         return acc
 
 
-def _hj_digits(q: int, a: int) -> tuple[int, ...]:
+def dedekind_data(q: int, a: int) -> DedekindData:
+    """HJ digits, Dedekind sum and c-invariant of (a, q) from one HJ pass.
+
+    Uses 12 s(a, q) = sum_i (e_i - 3) + (a + a') / q, where a' is the
+    inverse of a mod q (Hirzebruch-Zagier, The Atiyah-Singer theorem and
+    elementary number theory, 1974).
+    """
+    _check_pair(q, a)
     digits = []
     qq, aa = q, a
     while aa > 0:
         e = -(-qq // aa)  # ceil(qq/aa)
         digits.append(e)
         qq, aa = aa, e * aa - qq
-    return tuple(digits)
+    s = Fraction(q * (sum(digits) - 3 * len(digits)) + a + pow(a, -1, q), 12 * q)
+    return DedekindData(q=q, a=a, s=s, digits=tuple(digits))
 
 
-def hj_expand(q: int, a: int) -> HJExpansion:
+def hj_expand(q: int, a: int) -> DedekindData:
     """Negative-regular continued fraction of q/a for coprime 0 < a < q."""
-    _check_pair(q, a)
-    return HJExpansion(q, a, _hj_digits(q, a))
+    return dedekind_data(q, a)
 
 
 def hj_length(q: int, a: int) -> int:
     return dedekind_data(q, a).length
 
 
+def dedekind_sum(q: int, a: int) -> Fraction:
+    """s(a, q) from the HJ digits of q/a; one integer step per digit."""
+    return dedekind_data(q, a).s
+
+
+def c_value(q: int, a: int) -> Fraction:
+    """c(a, q) = 12 s(a, q) + length of the HJ expansion of q/a."""
+    return dedekind_data(q, a).c
+
+
 # ---------------------------------------------------------------------------
-# Dedekind sums
+# The defining O(q) sum, kept as an oracle
 # ---------------------------------------------------------------------------
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -137,44 +160,3 @@ def dedekind_sum_direct(q: int, a: int) -> Fraction:
         r = (i * a) % q
         total += (2 * i - q) * (2 * r - q)
     return Fraction(total, 4 * q * q)
-
-
-def dedekind_sum(q: int, a: int) -> Fraction:
-    """s(a, q) from the HJ digits e_i of q/a; one integer step per digit.
-
-    Uses 12 s(a, q) = sum_i (e_i - 3) + (a + a') / q, where a' is the
-    inverse of a mod q (Hirzebruch-Zagier, The Atiyah-Singer theorem and
-    elementary number theory, 1974).
-    """
-    return dedekind_data(q, a).s
-
-
-def c_value(q: int, a: int) -> Fraction:
-    """c(a, q) = 12 s(a, q) + length of the HJ expansion of q/a."""
-    return dedekind_data(q, a).c
-
-
-@dataclass(frozen=True)
-class DedekindData:
-    """Bundled exact invariants of a coprime pair (a, q)."""
-
-    q: int
-    a: int
-    s: Fraction
-    digits: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.digits)
-
-    @property
-    def c(self) -> Fraction:
-        return 12 * self.s + self.length
-
-
-def dedekind_data(q: int, a: int) -> DedekindData:
-    """HJ digits, Dedekind sum and c-invariant of (a, q) from one HJ pass."""
-    _check_pair(q, a)
-    digits = _hj_digits(q, a)
-    s = Fraction(q * (sum(digits) - 3 * len(digits)) + a + pow(a, -1, q), 12 * q)
-    return DedekindData(q=q, a=a, s=s, digits=digits)

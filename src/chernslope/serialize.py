@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import cache
+
+_LEAVES = frozenset({str, int, bool, float, type(None)})
 
 
 def rat(x) -> dict[str, str]:
@@ -12,15 +15,31 @@ def rat(x) -> dict[str, str]:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
+@cache  # one entry per dataclass type; fields() builds a new tuple per call
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def jsonable(obj):
     """Recursively convert to JSON-serializable structures; Fractions become
-    {"num", "den"} string pairs so nothing is ever rounded."""
+    {"num", "den"} string pairs so nothing is ever rounded.
+
+    Dataclasses become dicts of their fields, read in place. The common
+    exact types are dispatched first; subclasses take the isinstance path.
+    """
+    t = type(obj)
+    if t in _LEAVES:
+        return obj
+    if t is list or t is tuple:
+        return [v if type(v) in _LEAVES else jsonable(v) for v in obj]
+    if t is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, Fraction):
         return rat(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
     if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
+        return {name: jsonable(getattr(obj, name)) for name in _field_names(t)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

@@ -3,16 +3,27 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernslope.badset import (
+    BoundReport,
     FareyPoint,
+    _leq_shifted_sqrt,
     bad_set,
     farey_points,
     good_residues,
     verify_bounds,
 )
-from chernslope.numtheory import DomainError, c_value, hj_length, primes_between
+from chernslope.numtheory import (
+    DomainError,
+    c_value,
+    dedekind_sum,
+    hj_length,
+    primes_between,
+)
 
 ONE = Fraction(1)
 
@@ -135,3 +146,102 @@ class TestGoodCValues:
         for q in (101, 499):
             for a in good_residues(q, ONE):
                 assert abs(c_value(q, a)) <= 6 * math.sqrt(q) + 7
+
+
+def _reference_leq_shifted_sqrt(value: Fraction, shift: int, coef: Fraction, q: int) -> bool:
+    diff = Fraction(value) - shift
+    if diff <= 0:
+        return True
+    return diff * diff <= coef * coef * q
+
+
+def reference_verify_bounds(q: int, C: Fraction) -> BoundReport:
+    """The earlier two-call loop: one `hj_length` and one `dedekind_sum` per
+    good residue, with the bounds compared as Fractions."""
+    fs = bad_set(q, C)
+    coef = 2 + 1 / C
+    worst_l = (0, -1)
+    worst_s = (0, Fraction(-1))
+    for a in fs.complement:
+        l = hj_length(q, a)
+        if l > worst_l[1]:
+            worst_l = (a, l)
+        s12 = abs(12 * dedekind_sum(q, a))
+        if s12 > worst_s[1]:
+            worst_s = (a, s12)
+    with mpmath.workdps(60):
+        rhs = (mpmath.mpf(C.numerator) / C.denominator) * mpmath.sqrt(q) * (
+            mpmath.log(q) + 2 * mpmath.log(2)
+        )
+        card_ok = mpmath.mpf(len(fs.members)) <= rhs
+    return BoundReport(
+        q=q,
+        C=C,
+        f_size=len(fs.members),
+        card_bound_ok=bool(card_ok),
+        worst_length=worst_l,
+        worst_scaled_sum=worst_s,
+        length_bound_ok=_reference_leq_shifted_sqrt(Fraction(worst_l[1]), 2, coef, q),
+        sum_bound_ok=_reference_leq_shifted_sqrt(worst_s[1], 5, coef, q),
+    )
+
+
+def assert_same_report(got: BoundReport, want: BoundReport) -> None:
+    # field by field, with types: a Fraction must stay a Fraction, a bool a bool
+    for name in BoundReport.__dataclass_fields__:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g == w, (name, g, w)
+        assert type(g) is type(w), (name, g, w)
+        if isinstance(w, tuple):
+            assert [type(x) for x in g] == [type(x) for x in w], (name, g, w)
+
+
+class TestVerifyBoundsOracle:
+    @pytest.mark.parametrize("C", [ONE, Fraction(1, 2), Fraction(3, 2), Fraction(3)],
+                             ids=str)
+    def test_matches_two_call_loop(self, C):
+        for q in primes_between(17, 1000) + [10007]:
+            assert_same_report(verify_bounds(q, C), reference_verify_bounds(q, C))
+
+    # The bounds hold for every prime above, so the reports never exercise a
+    # failing comparison; the integer test is checked on its own here.
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(0, 6),
+           st.fractions(min_value=Fraction(1, 50), max_value=50), st.integers(1, 10**6))
+    @settings(max_examples=500, deadline=None)
+    def test_integer_bound_test_matches_fractions(self, num, den, shift, C, q):
+        want = _reference_leq_shifted_sqrt(Fraction(num, den), shift, 2 + 1 / C, q)
+        assert _leq_shifted_sqrt(num, den, shift, C, q) == want
+
+    @pytest.mark.parametrize("C", [ONE, Fraction(1, 2), Fraction(3, 7)], ids=str)
+    def test_integer_bound_test_at_equality(self, C):
+        # q = k^2 makes (2 + 1/C) sqrt(q) + shift rational: equal passes,
+        # one part in den above fails
+        for k in (1, 5, 12):
+            edge = (2 + 1 / C) * k + 3
+            for den in (edge.denominator, 3 * edge.denominator):
+                num = edge.numerator * (den // edge.denominator)
+                assert _leq_shifted_sqrt(num, den, 3, C, k * k)
+                assert not _leq_shifted_sqrt(num + 1, den, 3, C, k * k)
+
+    def test_empty_good_set(self):
+        # at C = 40 every residue mod 17 is bad: the worst entries keep their
+        # start values, 12|s| = -1 included (not -1/17)
+        assert bad_set(17, Fraction(40)).complement == ()
+        rep = verify_bounds(17, 40)
+        assert rep.worst_length == (0, -1)
+        assert rep.worst_scaled_sum == (0, Fraction(-1))
+        assert rep.length_bound_ok and rep.sum_bound_ok
+        assert_same_report(rep, reference_verify_bounds(17, Fraction(40)))
+
+    def test_ties_keep_first_maximal_a(self):
+        for q in (101, 499, 1009):
+            good = bad_set(q, ONE).complement
+            lengths = {a: hj_length(q, a) for a in good}
+            sums = {a: abs(12 * dedekind_sum(q, a)) for a in good}
+            rep = verify_bounds(q, ONE)
+            top_l, top_s = max(lengths.values()), max(sums.values())
+            # a and its inverse share both invariants, so every maximum is tied
+            assert sum(v == top_l for v in lengths.values()) > 1
+            assert sum(v == top_s for v in sums.values()) > 1
+            assert rep.worst_length == (min(a for a in good if lengths[a] == top_l), top_l)
+            assert rep.worst_scaled_sum == (min(a for a in good if sums[a] == top_s), top_s)
