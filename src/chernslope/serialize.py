@@ -24,27 +24,23 @@ def jsonable(obj):
     """Recursively convert to JSON-serializable structures; Fractions become
     {"num", "den"} string pairs so nothing is ever rounded.
 
-    Dataclasses become dicts of their fields, read in place. The common
-    exact types are dispatched first; subclasses take the isinstance path.
+    Dataclasses become dicts of their fields, read in place; sets become
+    sorted lists.
     """
-    t = type(obj)
-    if t in _LEAVES:
+    if type(obj) in _LEAVES:
         return obj
-    if t is list or t is tuple:
-        return [v if type(v) in _LEAVES else jsonable(v) for v in obj]
-    if t is dict:
+    if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _LEAVES else jsonable(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [jsonable(v) for v in sorted(obj)]
     if isinstance(obj, Fraction):
         return rat(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {name: jsonable(getattr(obj, name)) for name in _field_names(t)}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [jsonable(v) for v in items]
+        return {name: jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
     return obj
 
 
