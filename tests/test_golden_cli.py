@@ -24,6 +24,9 @@ GOLDEN = [
       "--max-tries", "50"], 0, "16f456c573a2d012"),
     (["search", "--family", "A", "--u", "1", "--w", "1", "--d", "4", "--q", "53",
       "--max-tries", "20"], 3, "faf82012bbb8e604"),
+    # exempt full-turn nodes take part in the sampler's fewest_bad/worst_node
+    (["search", "--family", "APRIME", "--d", "6", "--r", "2", "--q", "101",
+      "--max-tries", "30", "--seed", "3"], 3, "4dbb0a85bb1fa6e9"),
     (["cover", *FAMILY_A, "--q", "499", "--seed", "1", "--singularities"], 0,
      "cfa0d8ecd15f3ee8"),
     (["cover", "--family", "APRIME", "--d", "16", "--r", "4", "--q", "127",
