@@ -30,7 +30,6 @@ from .numtheory import (
     dedekind_data,
     dedekind_sum,
     dedekind_sum_direct,
-    hj_expand,
     hj_length,
     sawtooth,
 )
@@ -39,7 +38,6 @@ from .partitions import (
     NotFound,
     PartitionProblem,
     count_estimate,
-    sample_assignment,
     sample_with_stats,
     search_assignment,
     verify_asymptotic,

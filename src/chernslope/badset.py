@@ -112,6 +112,16 @@ def good_residues(q: int, C) -> frozenset[int]:
     return frozenset(bad_set(q, C).complement)
 
 
+def good_table(q: int, C) -> bytes:
+    """The good residues as q bytes: byte a is 1 exactly when a is good, so
+    byte 0 is 0. One fill of q bytes, then one store per member of F."""
+    table = bytearray(b"\x01") * q
+    table[0] = 0
+    for a in bad_set(q, C).members:
+        table[a] = 0
+    return bytes(table)
+
+
 def _leq_shifted_sqrt(num: int, den: int, shift: int, C: Fraction, q: int) -> bool:
     """Exact test num/den <= (2 + 1/C)*sqrt(q) + shift, in integers."""
     diff = num - shift * den

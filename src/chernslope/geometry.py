@@ -10,7 +10,8 @@ forms. The two must agree exactly, and the test suite insists on it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -129,10 +130,6 @@ class ResolvedConfiguration:
     c1sq_ambient: int
     c2_ambient: int
     params: ArrangementParams
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._by_id.update({c.cid: c for c in self.components})
 
     @property
     def family(self) -> Family:
@@ -142,8 +139,11 @@ class ResolvedConfiguration:
     def t2(self) -> int:
         return sum(count for _, _, count in self.nodes)
 
-    def component(self, cid: str) -> Component:
-        return self._by_id[cid]
+    @cached_property
+    def base_ids(self) -> tuple[str, ...]:
+        """Ids of the components that take a base multiplicity (all but the
+        exceptional chain curves), in component order."""
+        return tuple(c.cid for c in self.components if c.kind != "exceptional")
 
 
 def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:

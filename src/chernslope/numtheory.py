@@ -117,11 +117,6 @@ def dedekind_data(q: int, a: int) -> DedekindData:
     return DedekindData(q=q, a=a, s=s, digits=tuple(digits))
 
 
-def hj_expand(q: int, a: int) -> DedekindData:
-    """Negative-regular continued fraction of q/a for coprime 0 < a < q."""
-    return dedekind_data(q, a)
-
-
 def hj_length(q: int, a: int) -> int:
     return dedekind_data(q, a).length
 

@@ -18,8 +18,11 @@ import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
-from .badset import good_residues
+# `good_residues` stays importable here: perfbench/'s tracer hooks the name on
+# this module (tests/test_bench_sites.py checks that every hooked name resolves).
+from .badset import good_residues, good_table  # noqa: F401
 from .geometry import Family, ResolvedConfiguration
 from .numtheory import DomainError, is_prime
 from .rootcover import BranchAssignment, InvalidAssignmentError
@@ -48,6 +51,20 @@ class PartitionProblem:
     def family(self) -> Family:
         return self.config.params.family
 
+    @cached_property
+    def draw_ids(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """(section ids, fiber ids) in the order `_draw_base` fills them:
+        S1..S2l for APRIME, or S1..Sd, H1..Hu and last the negative section
+        S_{d+1} for families A0/A; then F1..F_delta and R1..Rw."""
+        params = self.config.params
+        d = params.d
+        secs = [f"S{i + 1}" for i in range(d)]
+        if self.family is not Family.APRIME:
+            secs += [f"H{i + 1}" for i in range(params.u)] + [f"S{d + 1}"]
+        fibers = [f"F{t + 1}" for t in range(params.delta)]
+        fibers += [f"R{i + 1}" for i in range(params.w)]
+        return tuple(secs), tuple(fibers)
+
 
 @dataclass(frozen=True)
 class NotFound:
@@ -74,34 +91,28 @@ def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
 
 def _draw_base(problem: PartitionProblem, rng: random.Random) -> dict[str, int]:
     params = problem.config.params
-    q, d, u, w, delta = problem.q, params.d, params.u, params.w, params.delta
-    base: dict[str, int] = {}
+    q, delta = problem.q, params.delta
+    sec_ids, fiber_ids = problem.draw_ids
     if problem.family is Family.APRIME:
+        base: dict[str, int] = {}
         a_parts = [x + 1 for x in _composition(rng, q - params.l, params.l)]
         for i, a in enumerate(a_parts):
-            base[f"S{2 * i + 1}"] = a
-            base[f"S{2 * i + 2}"] = q - a
+            base[sec_ids[2 * i]] = a
+            base[sec_ids[2 * i + 1]] = q - a
         y_parts = [y + 1 for y in _composition(rng, q - delta, delta)]
-        for t, y in enumerate(y_parts, start=1):
-            base[f"F{t}"] = y
+        base.update(zip(fiber_ids, y_parts))
         return base
 
     weight = params.e * params.chain_length
-    n_x, n_y = d + u, delta + w
+    n_x, n_y = params.d + params.u, delta + params.w
     slack = q - weight * n_x - n_y
     x_units = rng.randint(0, slack // weight)
     xs = [x + 1 for x in _composition(rng, x_units, n_x)]
     ys = [y + 1 for y in _composition(rng, slack - weight * x_units, n_y)]
-    for i in range(d):
-        base[f"S{i + 1}"] = xs[i]
-    for i in range(u):
-        base[f"H{i + 1}"] = xs[d + i]
+    base = dict(zip(sec_ids, xs))
     # linear equivalence forces the negative section's multiplicity
-    base[f"S{d + 1}"] = q - sum(xs)
-    for t in range(delta):
-        base[f"F{t + 1}"] = ys[t]
-    for i in range(w):
-        base[f"R{i + 1}"] = ys[delta + i]
+    base[sec_ids[-1]] = q - sum(xs)
+    base.update(zip(fiber_ids, ys))
     return base
 
 
@@ -123,12 +134,13 @@ def exempt_nodes(config: ResolvedConfiguration) -> frozenset[tuple[str, str, int
 
 def residue_rule(
     config: ResolvedConfiguration, q: int
-) -> Callable[[tuple[str, str, int]], frozenset[int]]:
-    """The residues each node may carry at q, as a function of the node:
-    only the full turn q - 1 at an exempt node, the good set elsewhere."""
-    good = good_residues(q, 1)
+) -> Callable[[tuple[str, str, int]], bytes]:
+    """The residues each node may carry at q, as a function of the node
+    returning a q-byte table (byte a is 1 when a is allowed): only the full
+    turn q - 1 at an exempt node, the good set elsewhere."""
+    good = good_table(q, 1)
     exempt = exempt_nodes(config)
-    full_turn = frozenset((q - 1,))
+    full_turn = bytes(q - 1) + b"\x01"
     return lambda node: full_turn if node in exempt else good
 
 
@@ -142,7 +154,7 @@ class AsymptoticReport:
 def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -> AsymptoticReport:
     """Check every node residue against `residue_rule`."""
     allowed = residue_rule(config, assign.q)
-    bad = tuple((node, a) for node, a in assign.residues(config) if a not in allowed(node))
+    bad = tuple((node, a) for node, a in assign.residues(config) if not allowed(node)[a])
     exempt_count = sum(node[2] for node in exempt_nodes(config))
     return AsymptoticReport(ok=not bad, bad_nodes=bad, exempt_count=exempt_count)
 
@@ -157,6 +169,7 @@ def sample_with_stats(
     fewest_bad: int | None = None
     worst_node = None
     allowed = residue_rule(problem.config, problem.q)
+    tables = [allowed(node) for node in problem.config.nodes]
     for t in range(max_tries):
         rng = random.Random(f"{seed}:{t}")
         base = _draw_base(problem, rng)
@@ -165,7 +178,8 @@ def sample_with_stats(
         except InvalidAssignmentError:
             zero_hits += 1
             continue
-        bad = [node for node, a in assign.residues(problem.config) if a not in allowed(node)]
+        bad = [node for (node, a), table in zip(assign.residues(problem.config), tables)
+               if not table[a]]
         if not bad:
             return assign, t + 1
         if fewest_bad is None or len(bad) < fewest_bad:
@@ -173,12 +187,6 @@ def sample_with_stats(
             worst_node = bad[0]
     nf = NotFound(tries=max_tries, zero_hits=zero_hits, fewest_bad=fewest_bad, worst_node=worst_node)
     return nf, max_tries
-
-
-def sample_assignment(
-    problem: PartitionProblem, seed: int, max_tries: int = 200
-) -> BranchAssignment | NotFound:
-    return sample_with_stats(problem, seed, max_tries)[0]
 
 
 def _section_steps(problem: PartitionProblem):
@@ -189,21 +197,12 @@ def _section_steps(problem: PartitionProblem):
       "a"     -- one APRIME pair unknown a_i (sets S_{2i-1}, S_{2i})
       "alast" -- forced final pair unknown
     """
-    params = problem.config.params
-    steps: list[tuple[str, tuple[str, ...]]] = []
+    sec_ids, _ = problem.draw_ids
     if problem.family is Family.APRIME:
-        for i in range(params.l):
-            kind = "alast" if i == params.l - 1 else "a"
-            steps.append((kind, (f"S{2 * i + 1}", f"S{2 * i + 2}")))
-        return steps
-    d, u = params.d, params.u
-    x_comps = [f"S{i + 1}" for i in range(d)] + [f"H{i + 1}" for i in range(u)]
-    for i, comp in enumerate(x_comps):
-        if i == len(x_comps) - 1:
-            steps.append(("xlast", (comp, f"S{d + 1}")))
-        else:
-            steps.append(("x", (comp,)))
-    return steps
+        pairs = list(zip(sec_ids[0::2], sec_ids[1::2]))
+        return [("a", pair) for pair in pairs[:-1]] + [("alast", pairs[-1])]
+    *x_comps, neg = sec_ids
+    return [("x", (comp,)) for comp in x_comps[:-1]] + [("xlast", (x_comps[-1], neg))]
 
 
 # Total bits the node-image memo of one search may hold (one image is q
@@ -220,9 +219,10 @@ class NodeImages:
     A node whose two end multiplicities are a1*v + b1 and a2*v + b2 (mod q)
     in an unknown v has the image
 
-        {v in Z/q : some a in allowed has a*(a1*v + b1) + (a2*v + b2) = 0},
+        {v in Z/q : some a with allowed[a] = 1 has a*(a1*v + b1) + (a2*v + b2) = 0},
 
-    held as an int with bit v set. It includes every v at which both ends
+    for a q-byte residue table `allowed` from `residue_rule`, held as an int
+    with bit v set. It includes every v at which both ends
     vanish, since every a then works. Shifting v by t = b1/a1 (or b2/a2
     when a1 = 0) turns the image into a bit rotation of the image of
     (a1, b1 - a1*t, a2, b2 - a2*t), so nodes that differ by a translation
@@ -234,10 +234,9 @@ class NodeImages:
         self.full = (1 << q) - 1
         self._inv = [0] + [pow(v, -1, q) for v in range(1, q)]
         self._neg_inv = [(q - x) % q for x in self._inv]
-        self._member: dict[frozenset[int], bytes] = {}
         self._memo: dict[tuple, int] = {}
 
-    def __call__(self, allowed: frozenset[int], a1: int, b1: int, a2: int, b2: int) -> int:
+    def __call__(self, allowed: bytes, a1: int, b1: int, a2: int, b2: int) -> int:
         key = (allowed, a1, b1, a2, b2)
         img = self._memo.get(key)
         if img is not None:
@@ -254,15 +253,12 @@ class NodeImages:
         self._memo[key] = img
         return img
 
-    def _evaluate(self, allowed: frozenset[int], a1: int, b1: int, a2: int, b2: int) -> int:
+    def _evaluate(self, allowed: bytes, a1: int, b1: int, a2: int, b2: int) -> int:
         q = self.q
-        member = self._member.get(allowed)
-        if member is None:
-            member = self._member[allowed] = bytes(a in allowed for a in range(q))
         neg_inv = self._neg_inv
         # the residue -m_j/m_i at every v; neg_inv[0] = 0 sends a vanishing
         # first end to residue 0, which no rule allows
-        bits = bytearray(map(member.__getitem__, [
+        bits = bytearray(map(allowed.__getitem__, [
             (a2 * v + b2) * neg_inv[(a1 * v + b1) % q] % q for v in range(q)
         ]))
         if a1:
@@ -347,9 +343,9 @@ def search_assignment(
     # Split nodes: section-section ones are checkable during phase 1 (staged
     # by the later of the two section steps); every other node involves
     # exactly one fiber and joins that fiber's phase-2 constraint set. Each
-    # is kept as (allowed residues, first end, second end).
-    stage_nodes: list[list[tuple[frozenset[int], str, str]]] = [[] for _ in range(n_steps)]
-    fiber_nodes: dict[str, list[tuple[frozenset[int], str, str]]] = {f: [] for f in fiber_ids}
+    # is kept as (allowed-residue table, first end, second end).
+    stage_nodes: list[list[tuple[bytes, str, str]]] = [[] for _ in range(n_steps)]
+    fiber_nodes: dict[str, list[tuple[bytes, str, str]]] = {f: [] for f in fiber_ids}
     for node in cfg.nodes:
         i, j, _count = node
         touched = {f for f in (fiber_touched(i), fiber_touched(j)) if f is not None}

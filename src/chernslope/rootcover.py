@@ -56,15 +56,13 @@ class BranchAssignment:
         chains: over a tangency with section multiplicities a, b and fiber
         multiplicity y, the k-th chain curve carries k(a + b) + y mod q."""
         nus: dict[str, int] = {}
-        for comp in config.components:
-            if comp.kind == "exceptional":
-                continue
-            if comp.cid not in base:
-                raise InvalidAssignmentError(f"no multiplicity given for {comp.cid}")
-            nu = base[comp.cid] % q
+        for cid in config.base_ids:
+            if cid not in base:
+                raise InvalidAssignmentError(f"no multiplicity given for {cid}")
+            nu = base[cid] % q
             if nu == 0:
-                raise InvalidAssignmentError(f"nu({comp.cid}) = 0 mod {q}")
-            nus[comp.cid] = nu
+                raise InvalidAssignmentError(f"nu({cid}) = 0 mod {q}")
+            nus[cid] = nu
         for tang in config.tangencies:
             s = (nus[tang.sections[0]] + nus[tang.sections[1]]) % q
             y = nus[tang.fiber]
@@ -76,12 +74,15 @@ class BranchAssignment:
         return cls(q=q, nus=nus)
 
     def residues(self, config: ResolvedConfiguration) -> list[tuple[tuple[str, str, int], int]]:
-        """(node, residue) for every node of the configuration."""
-        out = []
-        for node in config.nodes:
-            a, b, _count = node
-            out.append((node, node_residue(self.nus[a], self.nus[b], self.q)))
-        return out
+        """(node, residue) for every node of the configuration, equal to
+        `node_residue` at each node: with one negated inverse q - nu^-1 per
+        component, the residue of a node (i, j) is nu_j * (q - nu_i^-1) mod q."""
+        q = self.q
+        if not is_prime(q):
+            raise DomainError(f"q must be prime, got {q}")
+        nus = self.nus
+        neg_inv = {cid: q - pow(nu, -1, q) for cid, nu in nus.items()}
+        return [(node, nus[node[1]] * neg_inv[node[0]] % q) for node in config.nodes]
 
 
 @dataclass(frozen=True)
@@ -128,17 +129,20 @@ def chern_of_cover(config: ResolvedConfiguration, assign: BranchAssignment) -> C
         counts[a] += node[2]
     data = {a: dedekind_data(q, a) for a in counts}
 
-    c_corr = sum((data[a].c * n for a, n in counts.items()), Fraction(0))
+    # q*c(a, q) = 12q*s(a, q) + q*l(a, q) is an integer, so the c-correction
+    # is an integer sum over q and c1^2 is one Fraction over q
+    c = {a: d.c for a, d in data.items()}
+    qc_corr = sum(c[a].numerator * (q // c[a].denominator) * n for a, n in counts.items())
     l_corr = sum(data[a].length * n for a, n in counts.items())
 
-    c1sq_x = c1b * q + 2 * (c2 - c2b) + Fraction(c1 - c1b + 2 * c2b - 2 * c2, q) - c_corr
+    c1sq_x = Fraction((c1b * q + 2 * (c2 - c2b)) * q + c1 - c1b + 2 * c2b - 2 * c2 - qc_corr, q)
     c2_x = Fraction(c2b * q + (c2 - c2b) + l_corr)
     if c2_x == 0:
         raise InvalidAssignmentError("cover has vanishing c2")
     chi = (c1sq_x + c2_x) / 12
 
     sings = tuple(
-        SingularityRecord(node=node, a=a, hj_digits=data[a].digits, c=data[a].c, l=data[a].length)
+        SingularityRecord(node=node, a=a, hj_digits=data[a].digits, c=c[a], l=data[a].length)
         for node, a in residues
     )
     bound = defect_bound(q, config.t2) if q >= 17 else None
@@ -148,7 +152,7 @@ def chern_of_cover(config: ResolvedConfiguration, assign: BranchAssignment) -> C
         c2=c2_x,
         chi=chi,
         slope=c1sq_x / c2_x,
-        c_correction=c_corr,
+        c_correction=Fraction(qc_corr, q),
         l_correction=l_corr,
         defect_bound=bound,
         singularities=sings,

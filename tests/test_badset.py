@@ -15,6 +15,7 @@ from chernslope.badset import (
     bad_set,
     farey_points,
     good_residues,
+    good_table,
     verify_bounds,
 )
 from chernslope.numtheory import (
@@ -66,6 +67,15 @@ class TestBadSetMembers:
             bs = bad_set(q, ONE)
             assert list(bs.complement) == sorted(set(range(1, q)) - set(bs.members))
             assert good_residues(q, ONE) == frozenset(bs.complement)
+
+    @pytest.mark.parametrize("C", [ONE, Fraction(1, 2), Fraction(3)])
+    def test_good_table_agrees_with_bad_set(self, C):
+        for q in primes_between(17, 1000):
+            bs = bad_set(q, C)
+            table = good_table(q, C)
+            assert table == bytes(a != 0 and a not in bs for a in range(q)), q
+            assert table[0] == 0
+            assert good_residues(q, C) == {a for a, good in enumerate(table) if good}
 
     def test_known_good_residues_at_17(self):
         assert set(good_residues(17, ONE)) == {5, 7, 10, 12}

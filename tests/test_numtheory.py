@@ -13,7 +13,6 @@ from chernslope.numtheory import (
     dedekind_data,
     dedekind_sum,
     dedekind_sum_direct,
-    hj_expand,
     hj_length,
     is_prime,
     next_prime,
@@ -31,36 +30,36 @@ def coprime_pairs(q_max):
 
 class TestHirzebruchJung:
     def test_known_expansion(self):
-        exp = hj_expand(7, 2)
+        exp = dedekind_data(7, 2)
         assert exp.digits == (4, 2)
         assert exp.length == 2
 
     def test_full_turn_expansion_is_all_twos(self):
         for q in (5, 11, 17):
-            exp = hj_expand(q, q - 1)
+            exp = dedekind_data(q, q - 1)
             assert exp.digits == (2,) * (q - 1)
             assert hj_length(q, q - 1) == q - 1
 
     def test_evaluate_reconstructs_fraction(self):
         for q, a in coprime_pairs(40):
-            assert hj_expand(q, a).evaluate() == Fraction(q, a)
+            assert dedekind_data(q, a).evaluate() == Fraction(q, a)
 
     @given(st.integers(min_value=2, max_value=500), st.data())
     def test_digits_at_least_two(self, q, data):
         a = data.draw(st.integers(min_value=1, max_value=q - 1))
         if math.gcd(a, q) != 1:
             return
-        exp = hj_expand(q, a)
+        exp = dedekind_data(q, a)
         assert all(d >= 2 for d in exp.digits)
         assert exp.evaluate() == Fraction(q, a)
 
     def test_rejects_noncoprime(self):
         with pytest.raises(DomainError):
-            hj_expand(6, 2)
+            dedekind_data(6, 2)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            hj_expand(5, 5)
+            dedekind_data(5, 5)
 
 
 class TestSawtooth:
@@ -107,7 +106,7 @@ class TestDedekindSum:
             data = dedekind_data(q, a)
             direct = dedekind_sum_direct(q, a)
             assert data.s == direct, (q, a)
-            assert c_value(q, a) == data.c == 12 * direct + hj_expand(q, a).length
+            assert c_value(q, a) == data.c == 12 * direct + dedekind_data(q, a).length
 
     def test_negation_symmetry(self):
         for q, a in coprime_pairs(60):

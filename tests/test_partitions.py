@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chernslope import partitions
-from chernslope.badset import good_residues
+from chernslope.badset import good_table
 from chernslope.geometry import ArrangementParams, Family, build_resolution
 from chernslope.numtheory import DomainError
 from chernslope.partitions import (
@@ -15,7 +15,6 @@ from chernslope.partitions import (
     PartitionProblem,
     count_estimate,
     exempt_nodes,
-    sample_assignment,
     sample_with_stats,
     search_assignment,
     verify_asymptotic,
@@ -44,11 +43,11 @@ def nus_digest(result) -> str:
     return hashlib.sha256(repr(sorted(result.nus.items())).encode()).hexdigest()[:16]
 
 
-def moebius_image(allowed, q, a1, b1, a2, b2) -> set[int]:
+def moebius_image(table, q, a1, b1, a2, b2) -> set[int]:
     """The values v with a*(a1*v + b1) + (a2*v + b2) = 0 (mod q) for some
-    allowed a, one Moebius-map point per residue a (reference)."""
+    a with table[a] = 1, one Moebius-map point per such a (reference)."""
     sols = set()
-    for a in allowed:
+    for a in (a for a in range(q) if table[a]):
         den = (a * a1 + a2) % q
         num = (-(a * b1 + b2)) % q
         if den == 0:
@@ -76,14 +75,14 @@ class TestProblemValidation:
 class TestRejectionSampler:
     def test_finds_assignment_at_large_prime(self, family_a_config):
         problem = PartitionProblem(family_a_config, 499)
-        result = sample_assignment(problem, seed=1, max_tries=20000)
+        result = sample_with_stats(problem, seed=1, max_tries=20000)[0]
         assert not isinstance(result, NotFound)
         assert verify_asymptotic(family_a_config, result).ok
 
     def test_deterministic(self, family_a_config):
         problem = PartitionProblem(family_a_config, 499)
-        a = sample_assignment(problem, seed=1, max_tries=20000)
-        b = sample_assignment(problem, seed=1, max_tries=20000)
+        a = sample_with_stats(problem, seed=1, max_tries=20000)[0]
+        b = sample_with_stats(problem, seed=1, max_tries=20000)[0]
         assert not isinstance(a, NotFound)
         assert a.nus == b.nus
 
@@ -91,7 +90,7 @@ class TestRejectionSampler:
         params = family_a_config.params
         weight = params.e * params.chain_length
         problem = PartitionProblem(family_a_config, 499)
-        result = sample_assignment(problem, seed=1, max_tries=20000)
+        result = sample_with_stats(problem, seed=1, max_tries=20000)[0]
         xs = [result.nus[f"S{i + 1}"] for i in range(params.d)]
         xs += [result.nus[f"H{i + 1}"] for i in range(params.u)]
         ys = [result.nus[f"F{t + 1}"] for t in range(params.delta)]
@@ -189,11 +188,11 @@ class TestNodeImages:
             b1, b2 = rng.randrange(q), rng.randrange(q)
             forms += [(a1, b1, a2, b2), (a1, 0, a2, b2), (a1, b1, a2, 0)]
             forms.append((a1, b1, a1, b1))  # both ends vanish together
-        for allowed in (good_residues(q, 1), frozenset((q - 1,))):
+        for table in (good_table(q, 1), bytes(q - 1) + b"\x01"):
             for form in forms:
-                img = images(allowed, *form)
+                img = images(table, *form)
                 assert 0 <= img <= images.full
-                assert {v for v in range(q) if (img >> v) & 1} == moebius_image(allowed, q, *form)
+                assert {v for v in range(q) if (img >> v) & 1} == moebius_image(table, q, *form)
 
 
 class TestExemptNodes:

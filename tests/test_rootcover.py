@@ -1,10 +1,12 @@
 """Degree-q cover invariants from a branch multiplicity assignment."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from chernslope.geometry import ArrangementParams, Family, build_resolution
-from chernslope.numtheory import c_value, hj_length
+from chernslope.geometry import ArrangementParams, Family, build_resolution, log_chern_pair
+from chernslope.numtheory import DomainError, c_value, hj_length
+from chernslope.pipeline import find_assignment
 from chernslope.rootcover import (
     BranchAssignment,
     InvalidAssignmentError,
@@ -71,6 +73,47 @@ class TestBranchAssignment:
         assert seen == nodes
 
 
+def random_assignments(config, q, count, seed):
+    """Seeded valid assignments: uniform base values, redrawn until no chain
+    multiplicity vanishes."""
+    rng = random.Random(f"{seed}:{q}")
+    base_ids = [c.cid for c in config.components if c.kind != "exceptional"]
+    out = []
+    while len(out) < count:
+        base = {cid: rng.randrange(1, q) for cid in base_ids}
+        try:
+            out.append(BranchAssignment.from_base(config, q, base))
+        except InvalidAssignmentError:
+            continue
+    return out
+
+
+class TestResidues:
+    @pytest.mark.parametrize("params", [
+        ArrangementParams(Family.A, p=2, r=1, e=1, d=3, g=0, u=1, w=1),
+        ArrangementParams(Family.A, p=3, r=1, e=2, d=4, g=1, u=2, w=2),
+        ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=6),
+        ArrangementParams(Family.APRIME, p=3, r=1, e=1, d=4),
+    ], ids=["A-d3", "A-d4", "APRIME-d6", "APRIME-d4"])
+    @pytest.mark.parametrize("q", [17, 101, 499, 1009])
+    def test_equal_node_residue_at_every_node(self, params, q):
+        config = build_resolution(params)
+        for assign in random_assignments(config, q, count=5, seed=0):
+            expected = [(node, node_residue(assign.nus[node[0]], assign.nus[node[1]], q))
+                        for node in config.nodes]
+            assert assign.residues(config) == expected
+
+    def test_composite_q_raises_domain_error(self, small_config):
+        # the `cover --base-file` path: from_base accepts any q, residues does not
+        base = {"S1": 1, "S2": 1, "S3": 1, "H1": 1,
+                "F1": 2, "F2": 2, "F3": 2, "R1": 3, "S4": 13}
+        assign = BranchAssignment.from_base(small_config, 91, base)
+        with pytest.raises(DomainError):
+            assign.residues(small_config)
+        with pytest.raises(DomainError):
+            chern_of_cover(small_config, assign)
+
+
 class TestCoverInvariants:
     def test_chi_is_integral(self, small_config, hand_assignment):
         inv = chern_of_cover(small_config, hand_assignment)
@@ -92,10 +135,29 @@ class TestCoverInvariants:
             assert s.c == c_value(inv.q, s.a)
             assert s.l == hj_length(inv.q, s.a)
 
+    @pytest.mark.parametrize("params, q, seed", [
+        (ArrangementParams(Family.A, p=2, r=1, e=1, d=3, g=0, u=1, w=1), 499, 1),
+        (ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=6), 499, 0),
+    ], ids=["A-499", "APRIME-499"])
+    def test_corrections_match_defining_sums(self, params, q, seed):
+        # the defining sums over Fractions, one term per node, against the
+        # integer sums of chern_of_cover
+        config = build_resolution(params)
+        assign, _tries, method = find_assignment(config, q, seed, 200)
+        assert method is not None
+        inv = chern_of_cover(config, assign)
+        terms = [(node_residue(assign.nus[i], assign.nus[j], q), n) for i, j, n in config.nodes]
+        c_corr = sum((c_value(q, a) * n for a, n in terms), Fraction(0))
+        assert inv.c_correction == c_corr
+        assert inv.l_correction == sum(hj_length(q, a) * n for a, n in terms)
+        c1b, c2b = log_chern_pair(config)
+        c1, c2 = config.c1sq_ambient, config.c2_ambient
+        assert inv.c1sq == (c1b * q + 2 * (c2 - c2b)
+                            + Fraction(c1 - c1b + 2 * c2b - 2 * c2, q) - c_corr)
+        assert [s.c for s in inv.singularities] == [c_value(q, a) for a, _n in terms]
+
     def test_chern_numbers_scale_with_degree(self, small_config, hand_assignment):
         # c2(X) = c2_bar * q + (c2 - c2_bar) + sum of lengths
-        from chernslope.geometry import log_chern_pair
-
         inv = chern_of_cover(small_config, hand_assignment)
         c1b, c2b = log_chern_pair(small_config)
         amb_c2 = small_config.c2_ambient
