@@ -77,10 +77,9 @@ def random_assignments(config, q, count, seed):
     """Seeded valid assignments: uniform base values, redrawn until no chain
     multiplicity vanishes."""
     rng = random.Random(f"{seed}:{q}")
-    base_ids = [c.cid for c in config.components if c.kind != "exceptional"]
     out = []
     while len(out) < count:
-        base = {cid: rng.randrange(1, q) for cid in base_ids}
+        base = {cid: rng.randrange(1, q) for cid in config.base_ids}
         try:
             out.append(BranchAssignment.from_base(config, q, base))
         except InvalidAssignmentError:
