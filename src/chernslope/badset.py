@@ -96,16 +96,17 @@ def bad_set(q: int, C) -> BadSet:
         raise DomainError(f"q must be a prime >= 2, got {q}")
     C = _as_positive_fraction(C)
     cn, cd = C.numerator, C.denominator
-    bad: set[int] = set()
-    for d in range(1, math.isqrt(q) + 1):
-        # x and -x for x <= q // 2 already reach every nonzero residue
-        r = min(math.isqrt(cn * cn * q // (d * d * cd * cd)), q // 2)
-        inv = pow(d, -1, q)
-        for x in range(1, r + 1):
-            a = x * inv % q
-            bad.add(a)
-            bad.add(q - a)
-    return BadSet(q, C, tuple(sorted(bad)))
+    # R_d = isqrt(cn^2*q // (d^2*cd^2)) = isqrt(cn^2*q // cd^2) // d
+    reach = math.isqrt(cn * cn * q // (cd * cd))
+    # F is symmetric under a -> q - a: collect x * d^-1 for x > 0 only, then
+    # mirror; x <= q // 2 with its mirror already reaches every nonzero residue
+    half = {
+        x * inv % q
+        for d in range(1, math.isqrt(q) + 1)
+        for inv in [pow(d, -1, q)]
+        for x in range(1, min(reach // d, q // 2) + 1)
+    }
+    return BadSet(q, C, tuple(sorted(half.union([q - a for a in half]))))
 
 
 def good_residues(q: int, C) -> frozenset[int]:

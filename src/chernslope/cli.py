@@ -223,11 +223,9 @@ def _cmd_nef(args) -> int:
 
 
 def _sweep_row(task) -> dict:
-    params_tuple, q, seed, max_tries = task
-    params = ArrangementParams(*params_tuple)
-    config = build_resolution(params)
+    """One CSV row; `task` is (config, limit slope, q, seed, max_tries)."""
+    config, limit, q, seed, max_tries = task
     result, tries, _ = pipeline.find_assignment(config, q, seed, max_tries)
-    _, _, limit = log_chern_closed(params)
     if isinstance(result, NotFound):
         return {"q": q, "seed": seed, "status": "not_found", "tries": tries,
                 "c1sq": "", "c2": "", "chi": "", "slope_approx": "",
@@ -252,10 +250,11 @@ def _per_q_seed(master_seed: int, q: int) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _params_from_args(args)
-    params_tuple = (params.family, params.p, params.r, params.e,
-                    params.d, params.g, params.u, params.w)
+    # neither depends on q: build once, and let the pool pickle them per task
+    config = build_resolution(params)
+    _, _, limit = log_chern_closed(params)
     primes = [q for q in primes_between(args.q_min, args.q_max) if q != params.p]
-    tasks = [(params_tuple, q, _per_q_seed(args.seed, q), args.max_tries) for q in primes]
+    tasks = [(config, limit, q, _per_q_seed(args.seed, q), args.max_tries) for q in primes]
     workers = int(os.environ.get("CHERNSLOPE_WORKERS", "1"))
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(workers) as pool:

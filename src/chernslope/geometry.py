@@ -4,8 +4,9 @@ resolutions.
 `build_resolution` produces the full combinatorial model of the resolved
 pair (components with self-intersections and genera, nodes with
 multiplicities, tangency chains); `log_chern_pair` evaluates the log Chern
-numbers from that census, and `log_chern_closed` evaluates the closed
-forms. The two must agree exactly, and the test suite insists on it.
+numbers from that census, and `log_chern_closed` and `node_count` evaluate
+the closed forms. Census and closed forms must agree exactly, and the test
+suite insists on it.
 """
 from __future__ import annotations
 
@@ -264,6 +265,24 @@ def log_chern_closed(params: ArrangementParams) -> tuple[int, int, Fraction]:
     if c2b == 0:
         raise DegenerateParameterError("degenerate slope denominator")
     return c1b, c2b, Fraction(c1b, c2b)
+
+
+def node_count(params: ArrangementParams) -> int:
+    """Closed form of the census node count `build_resolution(params).t2`.
+
+    Each of the delta tangency points has m = p^r chain nodes (fiber-G_1
+    and G_k-G_{k+1}) and one node per section: the two tangent ones on
+    G_m, and the fiber's crossings with the other d - 2, the negative
+    section of A0/A and the u extra ones. The extra sections meet the d
+    tangent sections and each other with multiplicity e*m, and each
+    general fiber crosses every section once.
+    """
+    m = params.chain_length
+    d, u, w = params.d, params.u, params.w
+    sections = d + (params.family is not Family.APRIME) + u
+    return (params.delta * (m + sections)
+            + params.e * m * (u * d + u * (u - 1) // 2)
+            + w * sections)
 
 
 def limit_slope(params: ArrangementParams) -> Fraction:

@@ -19,13 +19,14 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 # `good_residues` stays importable here: perfbench/'s tracer hooks the name on
 # this module (tests/test_bench_sites.py checks that every hooked name resolves).
 from .badset import good_residues, good_table  # noqa: F401
 from .geometry import Family, ResolvedConfiguration
 from .numtheory import DomainError, is_prime
-from .rootcover import BranchAssignment, InvalidAssignmentError
+from .rootcover import BranchAssignment, InvalidAssignmentError, NegatedInverses
 
 
 def min_feasible_q(params) -> int:
@@ -164,12 +165,17 @@ def sample_with_stats(
 ) -> tuple[BranchAssignment | NotFound, int]:
     """Seeded retry loop; deterministic per-try generators keyed off
     (seed, try index) so any scheduling of tries reproduces the result.
-    Returns (result, tries used)."""
+    Returns (result, tries used).
+
+    A draw's bad nodes are counted only until they reach `fewest_bad`: past
+    that the draw can neither succeed nor replace the best draw, so the
+    rest of its residues are never computed."""
     zero_hits = 0
     fewest_bad: int | None = None
     worst_node = None
     allowed = residue_rule(problem.config, problem.q)
     tables = [allowed(node) for node in problem.config.nodes]
+    neg_inv = NegatedInverses(problem.q)
     for t in range(max_tries):
         rng = random.Random(f"{seed}:{t}")
         base = _draw_base(problem, rng)
@@ -178,8 +184,9 @@ def sample_with_stats(
         except InvalidAssignmentError:
             zero_hits += 1
             continue
-        bad = [node for (node, a), table in zip(assign.residues(problem.config), tables)
-               if not table[a]]
+        residues = assign.residues(problem.config, neg_inv)
+        bad = list(islice((node for (node, a), table in zip(residues, tables) if not table[a]),
+                          fewest_bad))
         if not bad:
             return assign, t + 1
         if fewest_bad is None or len(bad) < fewest_bad:
@@ -306,9 +313,12 @@ def search_assignment(
     One attempt is one phase-1 candidate tried (passing or not) or one
     phase-2 node image intersected; each of 8 seeded restarts gets a slice
     of `node_budget` attempts. The seed only permutes value orders, so
-    identical (problem, seed) yields identical output. Returns NotFound
-    with the number of attempts if the budget runs out or the search space
-    is exhausted.
+    identical (problem, seed) yields identical output. A restart that
+    empties its search space within its slice is a proof that q has no
+    good assignment; an exhaustive DFS makes the same attempts in every
+    value order, so the later restarts are counted, not run. Returns
+    NotFound with the number of attempts if the budget runs out or the
+    search space is exhausted.
     """
     cfg = problem.config
     params = cfg.params
@@ -515,10 +525,24 @@ def search_assignment(
         rng = random.Random(f"search:{seed}:{restart}")
         for i in range(n_steps):
             orders[i] = rng.sample(range(1, q), q - 1)
+        start = attempts
         budget_cap = min(node_budget, attempts + slice_budget)
         nu.clear()
         ys = dfs(0, 0, 0)
         if ys is not None or attempts >= node_budget:
+            break
+        if attempts <= budget_cap:
+            # The DFS emptied its search space under its cap: q has no good
+            # assignment. An exhaustive DFS tries every candidate whatever
+            # the value order, and draws nothing until it succeeds, so each
+            # later restart would spend the same attempts on the same proof;
+            # count them through the loop's own cap arithmetic instead.
+            per_run = attempts - start
+            for _ in range(restart + 1, restarts):
+                budget_cap = min(node_budget, attempts + slice_budget)
+                attempts = min(attempts + per_run, budget_cap + 1)
+                if attempts >= node_budget:
+                    break
             break
     if ys is not None:
         nu.update(ys)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import density
-from .geometry import Family, ResolvedConfiguration, build_resolution
+from .geometry import Family, ResolvedConfiguration, build_resolution, node_count
 from .nefcheck import closed_entries, _t_value
 from .numtheory import next_prime
 from .partitions import (
@@ -128,20 +128,21 @@ def run_pipeline(
         }
         return PipelineResult(report)
 
-    config = build_resolution(params)
-    if config.t2 > node_cap:
+    t2 = node_count(params)
+    if t2 > node_cap:
         report["sampled"] = {
-            "skipped": f"configuration has {config.t2} nodes (cap {node_cap}); "
+            "skipped": f"configuration has {t2} nodes (cap {node_cap}); "
                        f"a good assignment would need a prime q far beyond desk scale",
         }
         return PipelineResult(report)
+    config = build_resolution(params)
     # Rejection sampling needs q well above the node count, so start the
     # prime search there; if neither the sampler nor the deterministic
     # backtracking search lands an assignment, double q and retry.
     if q_hint is not None:
         q = q_hint
     else:
-        q = next_prime(max(17, min_feasible_q(params), config.t2))
+        q = next_prime(max(17, min_feasible_q(params), t2))
     while q == p:
         q = next_prime(q + 1)
 

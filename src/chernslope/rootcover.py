@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .geometry import ResolvedConfiguration, log_chern_pair
 from .numtheory import DomainError, ceil_isqrt, dedekind_data, is_prime
@@ -33,6 +33,18 @@ def node_residue(nu_i: int, nu_j: int, q: int) -> int:
     if not (0 < nu_i < q and 0 < nu_j < q):
         raise InvalidAssignmentError(f"multiplicities {nu_i}, {nu_j} not in (0, {q})")
     return (-nu_j * pow(nu_i, -1, q)) % q
+
+
+class NegatedInverses(dict):
+    """q - nu^-1 mod q by multiplicity nu, computed on first lookup."""
+
+    def __init__(self, q: int) -> None:
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, nu: int) -> int:
+        value = self[nu] = self.q - pow(nu, -1, self.q)
+        return value
 
 
 @dataclass(frozen=True)
@@ -73,16 +85,23 @@ class BranchAssignment:
                 nus[gid] = nu
         return cls(q=q, nus=nus)
 
-    def residues(self, config: ResolvedConfiguration) -> list[tuple[tuple[str, str, int], int]]:
-        """(node, residue) for every node of the configuration, equal to
-        `node_residue` at each node: with one negated inverse q - nu^-1 per
-        component, the residue of a node (i, j) is nu_j * (q - nu_i^-1) mod q."""
+    def residues(
+        self, config: ResolvedConfiguration, neg_inv: NegatedInverses | None = None
+    ) -> Iterator[tuple[tuple[str, str, int], int]]:
+        """(node, residue) for every node of the configuration, in node
+        order and computed as the iterator is consumed; each equals
+        `node_residue` at its node: the residue of a node (i, j) is
+        nu_j * (q - nu_i^-1) mod q. `neg_inv` memoises q - nu^-1 by
+        multiplicity; pass one to share it between assignments at one q."""
         q = self.q
         if not is_prime(q):
             raise DomainError(f"q must be prime, got {q}")
+        if neg_inv is None:
+            neg_inv = NegatedInverses(q)
+        elif neg_inv.q != q:
+            raise ValueError(f"inverses mod {neg_inv.q} used at q = {q}")
         nus = self.nus
-        neg_inv = {cid: q - pow(nu, -1, q) for cid, nu in nus.items()}
-        return [(node, nus[node[1]] * neg_inv[node[0]] % q) for node in config.nodes]
+        return ((node, nus[node[1]] * neg_inv[nus[node[0]]] % q) for node in config.nodes)
 
 
 @dataclass(frozen=True)
@@ -123,7 +142,7 @@ def chern_of_cover(config: ResolvedConfiguration, assign: BranchAssignment) -> C
     c1b, c2b = log_chern_pair(config)
     c1, c2 = config.c1sq_ambient, config.c2_ambient
 
-    residues = assign.residues(config)
+    residues = list(assign.residues(config))
     counts = Counter()
     for node, a in residues:
         counts[a] += node[2]

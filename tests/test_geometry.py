@@ -11,6 +11,7 @@ from chernslope.geometry import (
     limit_slope,
     log_chern_closed,
     log_chern_pair,
+    node_count,
 )
 
 
@@ -65,6 +66,24 @@ class TestClosedFormsMatchCensus:
         params = ArrangementParams(Family.APRIME, p=p, r=r, e=e, d=d)
         config = build_resolution(params)
         assert log_chern_pair(config) == log_chern_closed(params)[:2]
+
+
+class TestNodeCount:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("r,e", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_census(self, family, p, r, e):
+        checked = 0
+        for d in (3, 4, 6):
+            for u in (0, 1, 2):
+                for w in (0, 1, 2):
+                    try:
+                        params = ArrangementParams(family, p=p, r=r, e=e, d=d, u=u, w=w)
+                    except DegenerateParameterError:
+                        continue  # A0 and APRIME take no u, w; APRIME no odd d
+                    assert node_count(params) == build_resolution(params).t2
+                    checked += 1
+        assert checked
 
 
 class TestStructure:

@@ -2,6 +2,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from chernslope.partitions import (
     search_assignment,
     verify_asymptotic,
 )
+from chernslope.rootcover import BranchAssignment, InvalidAssignmentError
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,39 @@ class TestRejectionSampler:
         assert result.fewest_bad is None or result.fewest_bad >= 1
 
 
+def replay_sampler(problem, seed, max_tries):
+    """`sample_with_stats` without its early stop: every draw's bad nodes
+    counted in full through `verify_asymptotic` (reference)."""
+    zero_hits, fewest_bad, worst_node = 0, None, None
+    for t in range(max_tries):
+        base = partitions._draw_base(problem, random.Random(f"{seed}:{t}"))
+        try:
+            assign = BranchAssignment.from_base(problem.config, problem.q, base)
+        except InvalidAssignmentError:
+            zero_hits += 1
+            continue
+        bad = verify_asymptotic(problem.config, assign).bad_nodes
+        if not bad:
+            return assign, t + 1
+        if fewest_bad is None or len(bad) < fewest_bad:
+            fewest_bad, worst_node = len(bad), bad[0][0]
+    return NotFound(max_tries, zero_hits, fewest_bad, worst_node), max_tries
+
+
+class TestSamplerEarlyStop:
+    @pytest.mark.parametrize("config_name, q", [
+        ("family_a_d4_config", 53),   # t2 = 62
+        ("paired_config", 113),       # t2 = 120, with exempt full-turn nodes
+        ("paired_config", 127),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_full_count_replay(self, request, config_name, q, seed):
+        problem = PartitionProblem(request.getfixturevalue(config_name), q)
+        result = sample_with_stats(problem, seed=seed, max_tries=200)
+        assert result == replay_sampler(problem, seed, 200)
+        assert isinstance(result[0], NotFound) and result[0].fewest_bad is not None
+
+
 class TestBacktrackingSearch:
     def test_succeeds_where_rejection_fails(self, family_a_config):
         problem = PartitionProblem(family_a_config, 101)
@@ -152,6 +187,32 @@ class TestBacktrackingSearch:
         result = search_assignment(PartitionProblem(family_a_d4_config, q), seed=0)
         assert isinstance(result, NotFound)
         assert result.tries == tries
+
+    def test_exhausted_restart_is_not_rerun(self, monkeypatch, family_a_d4_config):
+        # restart 0 proves q = 41 has no assignment; restarts 1..7 are counted
+        made = []
+
+        class Recording(random.Random):
+            def __init__(self, seed):
+                made.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(partitions, "random", SimpleNamespace(Random=Recording))
+        result = search_assignment(PartitionProblem(family_a_d4_config, 41), seed=0)
+        assert result == NotFound(tries=72552, zero_hits=0, fewest_bad=None, worst_node=None)
+        assert made == ["search:0:0"]
+
+    @pytest.mark.parametrize("node_budget, tries", [
+        (1, 2), (7, 8), (8, 8), (255, 32), (256, 32), (257, 32), (2000, 32),
+    ])
+    def test_attempts_pinned_across_budgets(self, family_a_config, node_budget, tries):
+        # at q = 13 one exhaustive DFS takes 4 attempts: budgets below 32 cut
+        # every restart at its slice, larger ones count 8 exhaustive restarts
+        for seed in (0, 1):
+            result = search_assignment(PartitionProblem(family_a_config, 13), seed=seed,
+                                       node_budget=node_budget)
+            assert isinstance(result, NotFound)
+            assert result.tries == tries
 
     def test_memo_eviction_is_invisible(self, monkeypatch, paired_config, family_a_d4_config):
         cases = [(paired_config, 499, 0), (family_a_d4_config, 47, 0)]

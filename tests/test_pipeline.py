@@ -50,10 +50,17 @@ class TestRunPipeline:
         assert result.status == "ok"
         assert "skipped" in result.report["sampled"]
 
-    def test_node_cap_skips_sampling(self):
+    def test_node_cap_skips_sampling(self, monkeypatch):
+        def refuse(params):
+            raise AssertionError("the node cap needs no census")
+
+        monkeypatch.setattr(pipeline, "build_resolution", refuse)
         result = run_pipeline(Fraction(5, 2), Fraction(1, 10), family="APRIME", seed=0)
         assert result.status == "ok"
-        assert "skipped" in result.report["sampled"]
+        assert result.report["sampled"] == {
+            "skipped": "configuration has 193536 nodes (cap 20000); "
+                       "a good assignment would need a prime q far beyond desk scale",
+        }
 
     def test_q_hint_is_respected(self):
         result = run_pipeline(Fraction(14, 5), Fraction(4, 5), family="APRIME",

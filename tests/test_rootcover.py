@@ -100,7 +100,7 @@ class TestResidues:
         for assign in random_assignments(config, q, count=5, seed=0):
             expected = [(node, node_residue(assign.nus[node[0]], assign.nus[node[1]], q))
                         for node in config.nodes]
-            assert assign.residues(config) == expected
+            assert list(assign.residues(config)) == expected
 
     def test_composite_q_raises_domain_error(self, small_config):
         # the `cover --base-file` path: from_base accepts any q, residues does not
