@@ -1,7 +1,7 @@
 """chernslope: exact-arithmetic invariants of cyclic branched covers of
 resolved section/fiber arrangements on ruled surfaces."""
 
-from .badset import BadSet, BoundReport, FareyPoint, bad_set, good_residues, verify_bounds
+from .badset import BadSet, BoundReport, bad_set, good_residues, verify_bounds
 from .density import (
     SolvedParams,
     as_fraction,
@@ -19,6 +19,7 @@ from .geometry import (
     ResolvedConfiguration,
     Tangency,
     build_resolution,
+    component_count,
     limit_slope,
     log_chern_closed,
     log_chern_pair,
@@ -37,7 +38,6 @@ from .nefcheck import NefReport, closed_entries, config_entries, min_nef_q, nef_
 from .partitions import (
     NotFound,
     PartitionProblem,
-    count_estimate,
     sample_with_stats,
     search_assignment,
     verify_asymptotic,

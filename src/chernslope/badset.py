@@ -1,4 +1,4 @@
-"""Farey points, their neighbourhoods, and the bad/good residue split.
+"""The bad/good residue split at a prime q, and the bounds off the bad set.
 
 A residue a in {1, .., q-1} is *bad* when it falls within distance
 C*sqrt(q)/d^2 of some Farey point q*c/d with 1 <= d <= sqrt(q),
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator
 
 import mpmath
 
@@ -34,42 +33,11 @@ from . import numtheory
 from .numtheory import DomainError, dedekind_sum, hj_length, is_prime  # noqa: F401
 
 
-@dataclass(frozen=True)
-class FareyPoint:
-    """The point q*c/d together with its exact membership predicate."""
-
-    q: int
-    c: int
-    d: int
-    C: Fraction
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.q * self.c, self.d)
-
-    @property
-    def radius_approx(self) -> float:
-        return float(self.C) * math.sqrt(self.q) / self.d**2
-
-    def contains(self, a: int) -> bool:
-        """Exact |a - q*c/d| <= C*sqrt(q)/d^2."""
-        lhs = (a * self.d - self.q * self.c) ** 2 * self.d**2 * self.C.denominator**2
-        return lhs <= self.C.numerator**2 * self.q
-
-
 def _as_positive_fraction(C) -> Fraction:
     C = Fraction(C)
     if C <= 0:
         raise DomainError(f"C must be positive, got {C}")
     return C
-
-
-def farey_points(q: int, C) -> Iterator[FareyPoint]:
-    C = _as_positive_fraction(C)
-    for d in range(1, math.isqrt(q) + 1):
-        for c in range(0, d + 1):
-            if math.gcd(c, d) == 1:
-                yield FareyPoint(q, c, d, C)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,26 @@ def _params_from_args(args) -> ArrangementParams:
     )
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational option value such as 3, 1/2 or 0.25."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in '{text}'") from None
+
+
+def _read_base(path: str) -> dict[str, int]:
+    """Component multiplicities from a JSON object of integers keyed by id."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object of multiplicities")
+    try:
+        return {k: int(v) for k, v in raw.items()}
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: multiplicities must be integers ({exc})") from None
+
+
 def _add_family_options(sub,*, default_family="A0") -> None:
     sub.add_argument("--family", default=default_family, choices=[f.value for f in Family])
     sub.add_argument("--p", type=int, default=2)
@@ -77,7 +97,7 @@ def _cmd_dedekind(args) -> int:
 
 
 def _cmd_badset(args) -> int:
-    C = Fraction(args.C)
+    C = _fraction(args.C)
     fs = bad_set(args.q, C)
     out = {
         "q": fs.q, "C": C, "size": len(fs.members),
@@ -145,9 +165,7 @@ def _cmd_cover(args) -> int:
     params = _params_from_args(args)
     config = build_resolution(params)
     if args.base_file:
-        with open(args.base_file, "r", encoding="utf-8") as fh:
-            base = {k: int(v) for k, v in json.load(fh).items()}
-        assign = BranchAssignment.from_base(config, args.q, base)
+        assign = BranchAssignment.from_base(config, args.q, _read_base(args.base_file))
         tries = 0
     else:
         result, tries, _ = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
@@ -174,7 +192,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_slope(args) -> int:
     result = pipeline.run_pipeline(
-        target=Fraction(args.target), epsilon=Fraction(args.eps), p=args.p,
+        target=_fraction(args.target), epsilon=_fraction(args.eps), p=args.p,
         family=Family(args.family), q_hint=args.q_hint, seed=args.seed,
         g=args.g, e=args.e, w=args.w, sample=not args.no_sample,
         component_cap=args.component_cap, node_cap=args.node_cap,
@@ -210,6 +228,8 @@ def _cmd_nef(args) -> int:
         _emit({"status": "ok", "min_nef_q": threshold, "entries": rep.entries,
                "all_nonnegative": rep.all_nef, "t_value": rep.t_value})
         return EXIT_OK
+    if args.q is None:
+        raise ValueError("nef needs --q or --find")
     rep = nefcheck.nef_report(params, args.q)
     _emit({
         "q": args.q,

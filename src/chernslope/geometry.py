@@ -3,9 +3,11 @@ resolutions.
 
 `build_resolution` produces the full combinatorial model of the resolved
 pair (components with self-intersections and genera, nodes with
-multiplicities, tangency chains); `log_chern_pair` evaluates the log Chern
-numbers from that census, and `log_chern_closed` and `node_count` evaluate
-the closed forms. Census and closed forms must agree exactly, and the test
+multiplicities, tangency chains) and records its structure: the section
+and fiber ids in draw order, the fiber each node touches and the exempt
+nodes. `log_chern_pair` evaluates the log Chern numbers from that census,
+and `log_chern_closed`, `component_count` and `node_count` evaluate the
+closed forms. Census and closed forms must agree exactly, and the test
 suite insists on it.
 """
 from __future__ import annotations
@@ -125,12 +127,22 @@ class Tangency:
 
 @dataclass(frozen=True)
 class ResolvedConfiguration:
+    """The census, plus its structure as `build_resolution` records it:
+    consumers read these fields instead of working them out from ids."""
+
     components: tuple[Component, ...]
     nodes: tuple[tuple[str, str, int], ...]  # unordered id pair, multiplicity
     tangencies: tuple[Tangency, ...]
     c1sq_ambient: int
     c2_ambient: int
     params: ArrangementParams
+    # S1..Sd, H1..Hu and last the negative section S_{d+1} of A0/A
+    section_ids: tuple[str, ...]
+    fiber_ids: tuple[str, ...]  # F1..F_delta, then R1..Rw
+    node_fibers: tuple[str | None, ...]  # per node, the fiber it touches, if any
+    # APRIME's paired tangencies: the fiber-chain node and the chain links,
+    # whose residue is structurally the full turn q - 1
+    exempt_nodes: frozenset[tuple[str, str, int]]
 
     @property
     def family(self) -> Family:
@@ -145,6 +157,12 @@ class ResolvedConfiguration:
         """Ids of the components that take a base multiplicity (all but the
         exceptional chain curves), in component order."""
         return tuple(c.cid for c in self.components if c.kind != "exceptional")
+
+    @cached_property
+    def chain_position(self) -> dict[str, tuple[Tangency, int]]:
+        """Each chain curve's tangency and position k, 1 at the fiber end."""
+        return {gid: (tang, k) for tang in self.tangencies
+                for k, gid in enumerate(tang.chain, start=1)}
 
 
 def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
@@ -161,6 +179,12 @@ def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
     comps: list[Component] = []
     nodes: list[tuple[str, str, int]] = []
     tangs: list[Tangency] = []
+    node_fibers: list[str | None] = []
+    exempt: set[tuple[str, str, int]] = set()
+
+    def touching(fiber: str | None) -> None:
+        """Record `fiber` for the nodes appended since the last call."""
+        node_fibers.extend([fiber] * (len(nodes) - len(node_fibers)))
 
     sec_ids = [f"S{i}" for i in range(1, d + 1)]
     sec_self = em - (d - 1) * em
@@ -189,9 +213,8 @@ def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
             sa, sb = f"S{i}", f"S{j}"
             nodes.append((sa, chain[-1], 1))
             nodes.append((sb, chain[-1], 1))
-            nodes.append((fid, chain[0], 1))
-            for k in range(m - 1):
-                nodes.append((chain[k], chain[k + 1], 1))
+            links = [(fid, chain[0], 1)] + [(chain[k], chain[k + 1], 1) for k in range(m - 1)]
+            nodes += links
             # the fiber crosses every section not tangent at this point
             for k in range(1, d + 1):
                 if k not in (i, j):
@@ -200,7 +223,10 @@ def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
                 nodes.append((fid, neg_id, 1))
             for hid in h_ids:
                 nodes.append((fid, hid, 1))
+            touching(fid)
             paired = params.family is Family.APRIME and i % 2 == 1 and j == i + 1
+            if paired:
+                exempt.update(links)
             tangs.append(Tangency(t, (sa, sb), fid, chain, paired))
     assert t == params.delta
 
@@ -209,6 +235,7 @@ def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
             nodes.append((hid, sid, em))
         for other in h_ids[a_idx + 1:]:
             nodes.append((hid, other, em))
+    touching(None)
     for rid in r_ids:
         for sid in sec_ids:
             nodes.append((rid, sid, 1))
@@ -216,6 +243,7 @@ def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
             nodes.append((rid, neg_id, 1))
         for hid in h_ids:
             nodes.append((rid, hid, 1))
+        touching(rid)
 
     n_blowups = params.delta * m
     return ResolvedConfiguration(
@@ -225,6 +253,10 @@ def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
         c1sq_ambient=8 * (1 - g) - n_blowups,
         c2_ambient=4 * (1 - g) + n_blowups,
         params=params,
+        section_ids=tuple(sec_ids + h_ids + ([neg_id] if has_neg else [])),
+        fiber_ids=tuple([tang.fiber for tang in tangs] + r_ids),
+        node_fibers=tuple(node_fibers),
+        exempt_nodes=frozenset(exempt),
     )
 
 
@@ -265,6 +297,15 @@ def log_chern_closed(params: ArrangementParams) -> tuple[int, int, Fraction]:
     if c2b == 0:
         raise DegenerateParameterError("degenerate slope denominator")
     return c1b, c2b, Fraction(c1b, c2b)
+
+
+def component_count(params: ArrangementParams) -> int:
+    """Closed form of `len(build_resolution(params).components)`: the d
+    tangent sections, the negative section of A0/A, the u extra sections,
+    the w general fibers, and over each of the delta tangency points its
+    fiber and its chain of p^r curves."""
+    sections = params.d + (params.family is not Family.APRIME) + params.u
+    return sections + params.w + params.delta * (1 + params.chain_length)
 
 
 def node_count(params: ArrangementParams) -> int:

@@ -65,28 +65,25 @@ def config_entries(config: ResolvedConfiguration, q: int) -> dict[str, Fraction]
     component C, (1/q)(q(2g - 2 - C^2) + (q - 1)(C^2 + incidences))."""
     if not is_prime(q) or q == config.params.p:
         raise DomainError(f"q must be a prime different from p, got {q}")
-    m = config.params.chain_length
-    chain_pos: dict[str, int] = {}
-    for tang in config.tangencies:
-        for k, gid in enumerate(tang.chain, start=1):
-            chain_pos[gid] = k
+    params = config.params
+    m = params.chain_length
+    # H1..Hu: the sections after the d tangent ones (kind "section" too)
+    extra_sections = config.section_ids[params.d:params.d + params.u]
     incidences: Counter[str] = Counter()
     for a, b, count in config.nodes:
         incidences[a] += count
         incidences[b] += count
 
     def label(comp) -> str:
-        if comp.kind == "section" and comp.cid.startswith("S"):
-            return "K.Sbar_i"
+        if comp.kind == "section":
+            return "K.Hbar_i" if comp.cid in extra_sections else "K.Sbar_i"
         if comp.kind == "negative_section":
             return "K.Sbar_neg"
-        if comp.kind == "section":
-            return "K.Hbar_i"
         if comp.kind == "general_fiber":
             return "K.Rbar_i"
         if comp.kind == "fiber":
             return "K.Fbar_special"
-        k = chain_pos[comp.cid]
+        _, k = config.chain_position[comp.cid]
         if k == m:
             return "K.Gbar_end"
         return "K.Gbar_first" if k == 1 else "K.Gbar_interior"

@@ -14,11 +14,9 @@ that order.
 """
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
 # `good_residues` stays importable here: perfbench/'s tracer hooks the name on
@@ -52,20 +50,6 @@ class PartitionProblem:
     def family(self) -> Family:
         return self.config.params.family
 
-    @cached_property
-    def draw_ids(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """(section ids, fiber ids) in the order `_draw_base` fills them:
-        S1..S2l for APRIME, or S1..Sd, H1..Hu and last the negative section
-        S_{d+1} for families A0/A; then F1..F_delta and R1..Rw."""
-        params = self.config.params
-        d = params.d
-        secs = [f"S{i + 1}" for i in range(d)]
-        if self.family is not Family.APRIME:
-            secs += [f"H{i + 1}" for i in range(params.u)] + [f"S{d + 1}"]
-        fibers = [f"F{t + 1}" for t in range(params.delta)]
-        fibers += [f"R{i + 1}" for i in range(params.w)]
-        return tuple(secs), tuple(fibers)
-
 
 @dataclass(frozen=True)
 class NotFound:
@@ -93,7 +77,7 @@ def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
 def _draw_base(problem: PartitionProblem, rng: random.Random) -> dict[str, int]:
     params = problem.config.params
     q, delta = problem.q, params.delta
-    sec_ids, fiber_ids = problem.draw_ids
+    sec_ids, fiber_ids = problem.config.section_ids, problem.config.fiber_ids
     if problem.family is Family.APRIME:
         base: dict[str, int] = {}
         a_parts = [x + 1 for x in _composition(rng, q - params.l, params.l)]
@@ -117,22 +101,6 @@ def _draw_base(problem: PartitionProblem, rng: random.Random) -> dict[str, int]:
     return base
 
 
-def exempt_nodes(config: ResolvedConfiguration) -> frozenset[tuple[str, str, int]]:
-    """Nodes excused from the good-residue requirement: the chain interiors
-    and fiber-chain crossings of APRIME's paired tangencies, whose residue
-    is structurally q - 1."""
-    if config.params.family is not Family.APRIME:
-        return frozenset()
-    out: set[tuple[str, str, int]] = set()
-    for tang in config.tangencies:
-        if not tang.paired:
-            continue
-        out.add((tang.fiber, tang.chain[0], 1))
-        for k in range(len(tang.chain) - 1):
-            out.add((tang.chain[k], tang.chain[k + 1], 1))
-    return frozenset(out)
-
-
 def residue_rule(
     config: ResolvedConfiguration, q: int
 ) -> Callable[[tuple[str, str, int]], bytes]:
@@ -140,7 +108,7 @@ def residue_rule(
     returning a q-byte table (byte a is 1 when a is allowed): only the full
     turn q - 1 at an exempt node, the good set elsewhere."""
     good = good_table(q, 1)
-    exempt = exempt_nodes(config)
+    exempt = config.exempt_nodes
     full_turn = bytes(q - 1) + b"\x01"
     return lambda node: full_turn if node in exempt else good
 
@@ -156,7 +124,7 @@ def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -
     """Check every node residue against `residue_rule`."""
     allowed = residue_rule(config, assign.q)
     bad = tuple((node, a) for node, a in assign.residues(config) if not allowed(node)[a])
-    exempt_count = sum(node[2] for node in exempt_nodes(config))
+    exempt_count = sum(node[2] for node in config.exempt_nodes)
     return AsymptoticReport(ok=not bad, bad_nodes=bad, exempt_count=exempt_count)
 
 
@@ -204,7 +172,7 @@ def _section_steps(problem: PartitionProblem):
       "a"     -- one APRIME pair unknown a_i (sets S_{2i-1}, S_{2i})
       "alast" -- forced final pair unknown
     """
-    sec_ids, _ = problem.draw_ids
+    sec_ids = problem.config.section_ids
     if problem.family is Family.APRIME:
         pairs = list(zip(sec_ids[0::2], sec_ids[1::2]))
         return [("a", pair) for pair in pairs[:-1]] + [("alast", pairs[-1])]
@@ -334,39 +302,24 @@ def search_assignment(
         for comp in comps:
             pos[comp] = idx
 
-    # Fiber-type components (special fibers and general fibers alike).
-    fiber_ids = [c.cid for c in cfg.components if c.kind in ("fiber", "general_fiber")]
-    chain_of: dict[str, tuple] = {}
-    fiber_of_chain: dict[str, str] = {}
-    for tang in cfg.tangencies:
-        for k, gc in enumerate(tang.chain, start=1):
-            chain_of[gc] = (tang, k)
-            fiber_of_chain[gc] = tang.fiber
-
-    def fiber_touched(comp: str) -> str | None:
-        if comp in fiber_of_chain:
-            return fiber_of_chain[comp]
-        if comp in fiber_ids:
-            return comp
-        return None
+    # Fibers in component order, R1..Rw before F1..F_delta (the sampler
+    # draws them the other way round); the seeded value orders index into it.
+    fiber_ids = cfg.fiber_ids[params.delta:] + cfg.fiber_ids[:params.delta]
+    chain_position = cfg.chain_position
+    chain_of_fiber = {tang.fiber: tang.chain for tang in cfg.tangencies}
 
     # Split nodes: section-section ones are checkable during phase 1 (staged
-    # by the later of the two section steps); every other node involves
-    # exactly one fiber and joins that fiber's phase-2 constraint set. Each
-    # is kept as (allowed-residue table, first end, second end).
+    # by the later of the two section steps); every other node touches one
+    # fiber and joins that fiber's phase-2 constraint set. Each is kept as
+    # (allowed-residue table, first end, second end).
     stage_nodes: list[list[tuple[bytes, str, str]]] = [[] for _ in range(n_steps)]
     fiber_nodes: dict[str, list[tuple[bytes, str, str]]] = {f: [] for f in fiber_ids}
-    for node in cfg.nodes:
+    for node, fiber in zip(cfg.nodes, cfg.node_fibers):
         i, j, _count = node
-        touched = {f for f in (fiber_touched(i), fiber_touched(j)) if f is not None}
-        if not touched:
+        if fiber is None:
             stage_nodes[max(pos[i], pos[j])].append((allowed(node), i, j))
         else:
-            assert len(touched) == 1, "node touching two distinct fibers"
-            fiber_nodes[touched.pop()].append((allowed(node), i, j))
-    chains_of_fiber: dict[str, list[str]] = {f: [] for f in fiber_ids}
-    for gc, f in fiber_of_chain.items():
-        chains_of_fiber[f].append(gc)
+            fiber_nodes[fiber].append((allowed(node), i, j))
 
     attempts = 0
     budget_cap = 0
@@ -377,7 +330,7 @@ def search_assignment(
 
     def _linear_form(comp: str, nu: dict[str, int]) -> tuple[int, int]:
         """Value of `comp` as alpha*v + beta in the active fiber's unknown v."""
-        entry = chain_of.get(comp)
+        entry = chain_position.get(comp)
         if entry is not None:
             tang, k = entry
             a, b = tang.sections
@@ -415,7 +368,7 @@ def search_assignment(
                     return None
             sol &= window
             # multiplicities along the chain must stay nonzero
-            for gc in chains_of_fiber[f]:
+            for gc in chain_of_fiber.get(f, ()):
                 sol &= ~(1 << (-_linear_form(gc, nu)[1] % q))
             if not sol:
                 return None
@@ -548,20 +501,3 @@ def search_assignment(
         nu.update(ys)
         return BranchAssignment.from_base(cfg, q, dict(nu))
     return NotFound(tries=attempts, zero_hits=0, fewest_bad=None, worst_node=None)
-
-
-def count_estimate(problem: PartitionProblem) -> float:
-    """Leading term of the number of positive solutions as q grows."""
-    params = problem.config.params
-    q = problem.q
-    if problem.family is Family.APRIME:
-        l, delta = params.l, params.delta
-        log_count = (
-            (l - 1) * math.log(q) - math.lgamma(l)
-            + (delta - 1) * math.log(q) - math.lgamma(delta)
-        )
-        return math.exp(log_count)
-    n = params.d + params.u + params.delta + params.w
-    weight = params.e * params.chain_length
-    log_count = (n - 1) * math.log(q) - math.lgamma(n) - (params.d + params.u) * math.log(weight)
-    return math.exp(log_count)

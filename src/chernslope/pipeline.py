@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import density
-from .geometry import Family, ResolvedConfiguration, build_resolution, node_count
+from .geometry import Family, ResolvedConfiguration, build_resolution, component_count, node_count
 from .nefcheck import closed_entries, _t_value
 from .numtheory import next_prime
 from .partitions import (
@@ -29,11 +29,6 @@ from .serialize import canonical_json
 
 DEFAULT_COMPONENT_CAP = 250_000
 DEFAULT_NODE_CAP = 20_000
-
-
-def _estimated_components(params) -> int:
-    extra = 0 if params.family is Family.APRIME else 1
-    return params.d + extra + params.u + params.w + params.delta * (1 + params.chain_length)
 
 
 def find_assignment(
@@ -120,7 +115,7 @@ def run_pipeline(
         return PipelineResult(report)
 
     params = solved.params
-    est = _estimated_components(params)
+    est = component_count(params)
     if est > component_cap:
         report["sampled"] = {
             "skipped": f"configuration would have ~{est} components "

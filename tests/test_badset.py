@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from chernslope.badset import (
     BoundReport,
-    FareyPoint,
     _leq_shifted_sqrt,
     bad_set,
-    farey_points,
     good_residues,
     good_table,
     verify_bounds,
@@ -103,20 +101,6 @@ class TestBadSetMembers:
             bs = bad_set(q, 1)
             assert [a for a in range(1, q) if a in bs] == list(bs.members)
             assert 0 not in bs and q not in bs
-
-
-class TestFareyPoints:
-    def test_denominators_bounded_by_sqrt_q(self):
-        for q in (17, 101):
-            for pt in farey_points(q, ONE):
-                assert 1 <= pt.d <= math.isqrt(q)
-                assert math.gcd(pt.c, pt.d) == 1
-
-    def test_contains_is_exact(self):
-        pt = FareyPoint(q=17, c=0, d=1, C=ONE)
-        # |a/17 - 0| <= 1/sqrt(17) iff a^2 <= 17
-        assert pt.contains(4)
-        assert not pt.contains(5)
 
 
 class TestBounds:

@@ -151,6 +151,29 @@ class TestSweep:
                 "c_correction", "defect_bound"} <= set(rows[0])
 
 
+class TestInvalidInputExits2:
+    @pytest.mark.parametrize("args", [
+        ("badset", "--q", "17", "--C", "1/0"),
+        ("slope", "--target", "1/0"),
+        ("nef", "--d", "3"),
+    ])
+    def test_one_error_line(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("base", [[1, 2, 3], {"S1": None}])
+    def test_base_file_not_an_object_of_integers(self, tmp_path, base):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(base))
+        proc = run_cli("cover", "--family", "A", "--u", "1", "--w", "1",
+                       "--q", "17", "--base-file", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "opts.conf"

@@ -8,6 +8,7 @@ from chernslope.geometry import (
     DegenerateParameterError,
     Family,
     build_resolution,
+    component_count,
     limit_slope,
     log_chern_closed,
     log_chern_pair,
@@ -81,7 +82,9 @@ class TestNodeCount:
                         params = ArrangementParams(family, p=p, r=r, e=e, d=d, u=u, w=w)
                     except DegenerateParameterError:
                         continue  # A0 and APRIME take no u, w; APRIME no odd d
-                    assert node_count(params) == build_resolution(params).t2
+                    config = build_resolution(params)
+                    assert node_count(params) == config.t2
+                    assert component_count(params) == len(config.components)
                     checked += 1
         assert checked
 
@@ -111,6 +114,19 @@ class TestStructure:
     def test_t2_counts_all_nodes(self):
         config = build_resolution(a0_params())
         assert config.t2 == sum(c for _, _, c in config.nodes)
+
+    def test_recorded_ids_and_node_fibers(self):
+        params = ArrangementParams(Family.A, p=2, r=2, e=1, d=3, u=1, w=1)
+        config = build_resolution(params)
+        assert config.section_ids == ("S1", "S2", "S3", "H1", "S4")
+        assert config.fiber_ids == ("F1", "F2", "F3", "R1")
+        assert not config.exempt_nodes
+        kinds = {c.cid: c.kind for c in config.components}
+        for (i, j, _), fiber in zip(config.nodes, config.node_fibers, strict=True):
+            # the fibers a node meets, directly or through a chain curve
+            met = {config.chain_position[c][0].fiber if kinds[c] == "exceptional" else c
+                   for c in (i, j) if kinds[c] in ("fiber", "general_fiber", "exceptional")}
+            assert met == ({fiber} if fiber else set())
 
     def test_paired_flags(self):
         config = build_resolution(ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=4))

@@ -33,6 +33,9 @@ GOLDEN = [
       "--max-tries", "1"], 3, "f8ecdada043e5be5"),
     (["prank", "--q", "17", "--p", "3", "--mults", "5,5,5,2"], 0, "9b6609e85014e56b"),
     (["nef", "--family", "APRIME", "--d", "6", "--find"], 0, "c268f47a1716f395"),
+    # the census table too: K.Hbar_i needs u >= 1, K.Gbar_interior needs p^r > 2
+    (["nef", "--family", "A", "--d", "4", "--u", "2", "--w", "1", "--r", "2", "--q", "101"], 0,
+     "61b36e9737f5efed"),
     (["slope", "--target", "3", "--eps", "1/10", "--family", "A", "--no-sample"], 0,
      "9ef3285545f33429"),
     (["sweep", *FAMILY_A, "--q-min", "490", "--q-max", "525"], 0, "a85c1cbe13d1906b"),

@@ -37,6 +37,12 @@ class TestClosedVersusConfig:
         assert not rep.mismatched_labels
 
     @pytest.mark.parametrize("q", [17, 101])
+    def test_extra_sections_long_chains_and_genus(self, q):
+        rep = nef_report(a_params(r=2, u=2, g=1), q)
+        assert {"K.Hbar_i", "K.Gbar_interior"} <= set(rep.config_entries)
+        assert not rep.mismatched_labels
+
+    @pytest.mark.parametrize("q", [17, 101])
     def test_paired_family(self, q):
         params = ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=6)
         rep = nef_report(params, q)

@@ -14,8 +14,6 @@ from chernslope.partitions import (
     NodeImages,
     NotFound,
     PartitionProblem,
-    count_estimate,
-    exempt_nodes,
     sample_with_stats,
     search_assignment,
     verify_asymptotic,
@@ -106,6 +104,26 @@ class TestRejectionSampler:
         assert isinstance(result, NotFound)
         assert tries == 50
         assert result.fewest_bad is None or result.fewest_bad >= 1
+
+    def test_retry_rate_improves_with_q(self, family_a_config):
+        # the bad/all draw ratio tends to zero: tries per success shrink in
+        # trend over growing primes (statistical, not per-instance)
+        from chernslope.numtheory import primes_between
+
+        primes = primes_between(400, 2100)
+        primes = primes[:: len(primes) // 20] if len(primes) > 20 else primes
+        tries_at = []
+        for q in primes:
+            total = 0
+            for seed in range(3):
+                result, tries = sample_with_stats(
+                    PartitionProblem(family_a_config, q), seed=seed, max_tries=4000
+                )
+                total += tries
+            tries_at.append(total / 3)
+        first = sum(tries_at[: len(tries_at) // 2])
+        second = sum(tries_at[len(tries_at) // 2:])
+        assert second < first
 
 
 def replay_sampler(problem, seed, max_tries):
@@ -258,44 +276,14 @@ class TestNodeImages:
 
 class TestExemptNodes:
     def test_only_paired_family_has_exemptions(self, family_a_config, paired_config):
-        assert not exempt_nodes(family_a_config)
-        assert exempt_nodes(paired_config)
+        assert not family_a_config.exempt_nodes
+        assert paired_config.exempt_nodes
 
     def test_exempt_residues_are_full_turn(self, paired_config):
         problem = PartitionProblem(paired_config, 499)
         result = search_assignment(problem, seed=1)
         assert not isinstance(result, NotFound)
-        exempt = exempt_nodes(paired_config)
+        exempt = paired_config.exempt_nodes
         for node, a in result.residues(paired_config):
             if node in exempt:
                 assert a == 499 - 1
-
-
-class TestCountEstimate:
-    def test_monotone_in_q(self, family_a_config):
-        counts = [
-            count_estimate(PartitionProblem(family_a_config, q))
-            for q in (101, 499, 1009)
-        ]
-        assert counts == sorted(counts)
-        assert counts[0] > 1
-
-    def test_retry_rate_improves_with_q(self, family_a_config):
-        # the bad/all draw ratio tends to zero: tries per success shrink in
-        # trend over growing primes (statistical, not per-instance)
-        from chernslope.numtheory import primes_between
-
-        primes = primes_between(400, 2100)
-        primes = primes[:: len(primes) // 20] if len(primes) > 20 else primes
-        tries_at = []
-        for q in primes:
-            total = 0
-            for seed in range(3):
-                result, tries = sample_with_stats(
-                    PartitionProblem(family_a_config, q), seed=seed, max_tries=4000
-                )
-                total += tries
-            tries_at.append(total / 3)
-        first = sum(tries_at[: len(tries_at) // 2])
-        second = sum(tries_at[len(tries_at) // 2:])
-        assert second < first
