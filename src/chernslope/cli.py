@@ -11,8 +11,6 @@ import argparse
 import csv
 import hashlib
 import json
-import multiprocessing
-import os
 import sys
 from fractions import Fraction
 
@@ -27,7 +25,7 @@ from .geometry import (
     log_chern_pair,
 )
 from .numtheory import DomainError, dedekind_data, is_prime, primes_between
-from .partitions import NotFound
+from .partitions import NotFound, check_base
 # cli never calls these itself (`pipeline.find_assignment` does), but the
 # capture and tracing hooks in perfbench/ look them up on this module with
 # getattr, so they stay importable from it.
@@ -69,10 +67,11 @@ def _read_base(path: str) -> dict[str, int]:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object of multiplicities")
-    try:
-        return {k: int(v) for k, v in raw.items()}
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{path}: multiplicities must be integers ({exc})") from None
+    for k, v in raw.items():
+        if type(v) is not int:  # not bool, float or string either
+            raise ValueError(f"{path}: the multiplicity of {k} is {json.dumps(v)}, "
+                             "not an integer")
+    return raw
 
 
 def _add_family_options(sub,*, default_family="A0") -> None:
@@ -121,8 +120,7 @@ def _cmd_arrangement(args) -> int:
     params = _params_from_args(args)
     c1b, c2b, slope = log_chern_closed(params)
     out = {
-        "params": {"family": params.family.value, "p": params.p, "r": params.r,
-                   "e": params.e, "d": params.d, "g": params.g, "u": params.u, "w": params.w},
+        "params": params,
         "delta": params.delta,
         "closed": {"c1sq_bar": c1b, "c2_bar": c2b,
                    "limit_slope": slope, "limit_slope_approx": float(slope)},
@@ -165,7 +163,9 @@ def _cmd_cover(args) -> int:
     params = _params_from_args(args)
     config = build_resolution(params)
     if args.base_file:
-        assign = BranchAssignment.from_base(config, args.q, _read_base(args.base_file))
+        base = _read_base(args.base_file)
+        assign = BranchAssignment.from_base(config, args.q, base)
+        check_base(config, args.q, base)
         tries = 0
     else:
         result, tries, _ = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
@@ -174,13 +174,7 @@ def _cmd_cover(args) -> int:
             return EXIT_NOT_FOUND
         assign = result
     cover = chern_of_cover(config, assign)
-    out = {
-        "status": "ok", "q": args.q, "tries": tries,
-        "c1sq": cover.c1sq, "c2": cover.c2, "chi": cover.chi,
-        "slope": cover.slope, "slope_approx": float(cover.slope),
-        "c_correction": cover.c_correction, "l_correction": cover.l_correction,
-        "defect_bound": cover.defect_bound,
-    }
+    out = {"status": "ok", "q": args.q, "tries": tries, **pipeline.cover_fields(cover)}
     if args.singularities:
         out["singularities"] = [
             {"node": list(s.node), "a": s.a, "l": s.l, "c": s.c, "digits": list(s.hj_digits)}
@@ -247,10 +241,9 @@ def _sweep_row(task) -> dict:
     config, limit, q, seed, max_tries = task
     result, tries, _ = pipeline.find_assignment(config, q, seed, max_tries)
     if isinstance(result, NotFound):
+        # the writer leaves the cover's columns empty
         return {"q": q, "seed": seed, "status": "not_found", "tries": tries,
-                "c1sq": "", "c2": "", "chi": "", "slope_approx": "",
-                "limit_slope_approx": float(limit), "abs_err_approx": "",
-                "c_correction": "", "defect_bound": ""}
+                "limit_slope_approx": float(limit)}
     cover = chern_of_cover(config, result)
     return {
         "q": q, "seed": seed, "status": "ok", "tries": tries,
@@ -270,18 +263,12 @@ def _per_q_seed(master_seed: int, q: int) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _params_from_args(args)
-    # neither depends on q: build once, and let the pool pickle them per task
+    # neither depends on q: build once
     config = build_resolution(params)
     _, _, limit = log_chern_closed(params)
     primes = [q for q in primes_between(args.q_min, args.q_max) if q != params.p]
     tasks = [(config, limit, q, _per_q_seed(args.seed, q), args.max_tries) for q in primes]
-    workers = int(os.environ.get("CHERNSLOPE_WORKERS", "1"))
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_sweep_row, tasks)
-    else:
-        rows = [_sweep_row(t) for t in tasks]
-    rows.sort(key=lambda r: r["q"])
+    rows = [_sweep_row(t) for t in tasks]  # in prime order
 
     fieldnames = ["q", "seed", "status", "tries", "c1sq", "c2", "chi", "slope_approx",
                   "limit_slope_approx", "abs_err_approx", "c_correction", "defect_bound"]

@@ -16,12 +16,15 @@ from .geometry import ArrangementParams, Family, limit_slope
 from .numtheory import DomainError, is_prime
 
 TARGET_PRECISION = 10**12  # denominator cap when ingesting float targets
+R_CAP = 400  # family A: largest exponent r tried
+Y_CAP = 200  # APRIME ladder: largest exponent y tried
+E_CAP = 10**6  # APRIME ladder: largest e tried
 
 
-def as_fraction(x, cap: int = TARGET_PRECISION) -> Fraction:
+def as_fraction(x) -> Fraction:
     """Ingest a target; floats are truncated to ~1e-12 rational precision."""
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(cap)
+        return Fraction(x).limit_denominator(TARGET_PRECISION)
     return Fraction(x)
 
 
@@ -87,7 +90,7 @@ def _family_a_fraction(p: int, r: int, e: int, d: int, g: int, u: int, w: int) -
 
 
 def solve_family_a(
-    target, epsilon, p: int = 2, g: int = 0, e: int = 1, w: int = 1, r_cap: int = 400
+    target, epsilon, p: int = 2, g: int = 0, e: int = 1, w: int = 1
 ) -> SolvedParams:
     """Family A parameters whose limiting slope is within epsilon of target.
 
@@ -111,7 +114,7 @@ def solve_family_a(
     u, v, d = find_uv(alpha_t, eps_t)
     bridge = Fraction((d - 1) * (d - 2) - 2 * u, u * (u - 1) + 2 * u * d)
     best = None
-    for r in range(1, r_cap + 1):
+    for r in range(1, R_CAP + 1):
         frac = _family_a_fraction(p, r, e, d, g, u, w)
         if best is None or abs(frac - alpha_t) < abs(best[1] - alpha_t):
             best = (r, frac)
@@ -145,7 +148,7 @@ def _aprime_fraction(p: int, r: int, e: int, l: int) -> Fraction:
 
 
 def solve_family_aprime(
-    target, epsilon, p: int = 2, y_cap: int = 200, e_cap: int = 10**6, l_cap: int = 10**7
+    target, epsilon, p: int = 2, l_cap: int = 10**7
 ) -> SolvedParams:
     """Family APRIME parameters (e, r, l) within epsilon of target.
 
@@ -222,7 +225,7 @@ def solve_family_aprime(
     mid_target = Fraction(pz, 2 * n)
 
     chosen_y = None
-    for y in range(0, y_cap + 1):
+    for y in range(0, Y_CAP + 1):
         l = n * p**y
         if l < 3:
             continue
@@ -237,7 +240,7 @@ def solve_family_aprime(
     y, l, r, mid = chosen_y
 
     chosen_e = None
-    for e in range(1, e_cap + 1):
+    for e in range(1, E_CAP + 1):
         frac = _aprime_fraction(p, r, e, l)
         if abs(frac - mid) < eps / 3:
             chosen_e = (e, frac)

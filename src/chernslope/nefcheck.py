@@ -121,16 +121,12 @@ class NefReport:
         return all(v >= 0 for v in values)
 
 
-def nef_report(
-    params: ArrangementParams, q: int, config: ResolvedConfiguration | None = None
-) -> NefReport:
-    if config is None:
-        config = build_resolution(params)
+def nef_report(params: ArrangementParams, q: int) -> NefReport:
     return NefReport(
         params=params,
         q=q,
         entries=closed_entries(params, q),
-        config_entries=config_entries(config, q),
+        config_entries=config_entries(build_resolution(params), q),
         t_value=_t_value(params, q),
     )
 

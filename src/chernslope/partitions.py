@@ -46,10 +46,6 @@ class PartitionProblem:
         if self.q < min_feasible_q(self.config.params):
             raise DomainError(f"q = {self.q} is infeasible for these parameters")
 
-    @property
-    def family(self) -> Family:
-        return self.config.params.family
-
 
 @dataclass(frozen=True)
 class NotFound:
@@ -78,7 +74,7 @@ def _draw_base(problem: PartitionProblem, rng: random.Random) -> dict[str, int]:
     params = problem.config.params
     q, delta = problem.q, params.delta
     sec_ids, fiber_ids = problem.config.section_ids, problem.config.fiber_ids
-    if problem.family is Family.APRIME:
+    if problem.config.family is Family.APRIME:
         base: dict[str, int] = {}
         a_parts = [x + 1 for x in _composition(rng, q - params.l, params.l)]
         for i, a in enumerate(a_parts):
@@ -99,6 +95,21 @@ def _draw_base(problem: PartitionProblem, rng: random.Random) -> dict[str, int]:
     base[sec_ids[-1]] = q - sum(xs)
     base.update(zip(fiber_ids, ys))
     return base
+
+
+def check_base(config: ResolvedConfiguration, q: int, base: dict[str, int]) -> None:
+    """Raise InvalidAssignmentError unless an A0/A base keeps the linear
+    equivalences `_draw_base` builds in: mod q, all sections sum to 0, and
+    e*p^r times S1..Sd, H1..Hu plus all fibers sum to 0. An APRIME base is
+    not checked."""
+    params = config.params
+    if params.family is Family.APRIME:
+        return
+    *x_ids, neg = config.section_ids
+    x_total = sum(base[c] for c in x_ids)
+    weighted = params.e * params.chain_length * x_total + sum(base[f] for f in config.fiber_ids)
+    if (x_total + base[neg]) % q or weighted % q:
+        raise InvalidAssignmentError(f"the multiplicities break linear equivalence mod {q}")
 
 
 def residue_rule(
@@ -164,20 +175,17 @@ def sample_with_stats(
     return nf, max_tries
 
 
-def _section_steps(problem: PartitionProblem):
-    """Phase-1 variable order for the backtracking search: the section-type
-    unknowns. Each step is (kind, comps) with kind in:
-      "x"     -- one weighted section unknown (families A0/A)
-      "xlast" -- same, but also reveals the derived negative section
-      "a"     -- one APRIME pair unknown a_i (sets S_{2i-1}, S_{2i})
-      "alast" -- forced final pair unknown
-    """
+def _section_steps(problem: PartitionProblem) -> list[tuple[str, str | None]]:
+    """Phase-1 variable order for the backtracking search: one step per
+    section unknown, as (component, partner). Setting the component to v
+    sets its partner, if any, to (beta - v) mod q: the second section of an
+    APRIME pair (beta = 0), or A0/A's negative section at the last step
+    (beta = -s, with s the sum of the earlier section unknowns)."""
     sec_ids = problem.config.section_ids
-    if problem.family is Family.APRIME:
-        pairs = list(zip(sec_ids[0::2], sec_ids[1::2]))
-        return [("a", pair) for pair in pairs[:-1]] + [("alast", pairs[-1])]
+    if problem.config.family is Family.APRIME:
+        return list(zip(sec_ids[0::2], sec_ids[1::2]))
     *x_comps, neg = sec_ids
-    return [("x", (comp,)) for comp in x_comps[:-1]] + [("xlast", (x_comps[-1], neg))]
+    return [(comp, None) for comp in x_comps[:-1]] + [(x_comps[-1], neg)]
 
 
 # Total bits the node-image memo of one search may hold (one image is q
@@ -270,13 +278,12 @@ def search_assignment(
     Both phases see every node they check as two ends linear in the
     unknown of the current step, and read its feasible values from one
     memoised `NodeImages` bitset owned by this call. Phase 1 runs a
-    depth-first search over the few section unknowns: entering a step, it
-    intersects the images of the section-section nodes the step completes,
-    clears the values at which a node end vanishes, and tries the step's
-    candidates against that mask. Phase 2 intersects, per fiber, the images
-    of that fiber's nodes, keeps values 1..cap with nonzero chain
-    multiplicities, and solves the remaining sum constraint by a bitset
-    subset-sum sweep over the fibers.
+    depth-first search over the few section unknowns (`_section_steps`):
+    entering a step, it intersects the images of the section-section nodes
+    the step completes and tries the step's candidates against that mask.
+    Phase 2 intersects, per fiber, the images of that fiber's nodes, keeps
+    values 1..cap with nonzero chain multiplicities, and solves the
+    remaining sum constraint by a bitset subset-sum sweep over the fibers.
 
     One attempt is one phase-1 candidate tried (passing or not) or one
     phase-2 node image intersected; each of 8 seeded restarts gets a slice
@@ -291,22 +298,22 @@ def search_assignment(
     cfg = problem.config
     params = cfg.params
     q = problem.q
+    paired = cfg.family is Family.APRIME
     allowed = residue_rule(cfg, q)
     images = NodeImages(q)
     steps = _section_steps(problem)
     n_steps = len(steps)
-    weight = params.e * params.chain_length
 
     pos: dict[str, int] = {}
-    for idx, (_, comps) in enumerate(steps):
-        for comp in comps:
-            pos[comp] = idx
+    for idx, step in enumerate(steps):
+        for comp in step:
+            if comp is not None:
+                pos[comp] = idx
 
     # Fibers in component order, R1..Rw before F1..F_delta (the sampler
     # draws them the other way round); the seeded value orders index into it.
     fiber_ids = cfg.fiber_ids[params.delta:] + cfg.fiber_ids[:params.delta]
-    chain_position = cfg.chain_position
-    chain_of_fiber = {tang.fiber: tang.chain for tang in cfg.tangencies}
+    tangency_of = {tang.fiber: tang for tang in cfg.tangencies}
 
     # Split nodes: section-section ones are checkable during phase 1 (staged
     # by the later of the two section steps); every other node touches one
@@ -323,23 +330,19 @@ def search_assignment(
 
     attempts = 0
     budget_cap = 0
-    orders: list[list[int]] = [[] for _ in range(n_steps)]
-
-    n_sec = n_steps
     n_y = len(fiber_ids)
+    # A step's candidates leave each later step 1 and, in A0/A, each fiber 1
+    weight, reserve = (1, 0) if paired else (params.e * params.chain_length, n_y)
+    nu: dict[str, int] = {}
 
-    def _linear_form(comp: str, nu: dict[str, int]) -> tuple[int, int]:
-        """Value of `comp` as alpha*v + beta in the active fiber's unknown v."""
-        entry = chain_position.get(comp)
-        if entry is not None:
-            tang, k = entry
-            a, b = tang.sections
-            return 1, (k * (nu[a] + nu[b])) % q
-        if comp in fiber_nodes:
-            return 1, 0
-        return 0, nu[comp] % q
+    def image(rule: bytes, i: str, j: str, forms: dict[str, tuple[int, int]]) -> int:
+        """Image of node (i, j) in the active unknown v: an end in `forms`
+        is alpha*v + beta, any other end is fixed at its nu."""
+        a1, b1 = forms.get(i) or (0, nu[i])
+        a2, b2 = forms.get(j) or (0, nu[j])
+        return images(rule, a1, b1, a2, b2)
 
-    def solve_fibers(nu: dict[str, int], xsum: int) -> dict[str, int] | None:
+    def solve_fibers(s: int) -> dict[str, int] | None:
         """Phase 2: pick one good value per fiber hitting the exact sum.
 
         Each fiber's feasible values are the intersection of its nodes'
@@ -351,25 +354,33 @@ def search_assignment(
         orders drawn from the restart's generator.
         """
         nonlocal attempts
-        target = q if problem.family is Family.APRIME else q - weight * xsum
+        target = q if paired else q - weight * s
         if target < n_y:
             return None
         cap = min(target - (n_y - 1), q - 1)
         window = ((1 << cap) - 1) << 1  # values 1..cap
         feasible: list[int] = []
         for f in fiber_ids:
+            # the fiber is v; the k-th curve of its chain is v + k*(nu_a + nu_b)
+            forms = {f: (1, 0)}
+            tang = tangency_of.get(f)
+            if tang is not None:
+                a, b = tang.sections
+                ends = nu[a] + nu[b]
+                for k, gid in enumerate(tang.chain, start=1):
+                    forms[gid] = (1, k * ends % q)
             sol = images.full
             for rule, i, j in fiber_nodes[f]:
                 attempts += 1
                 if attempts > budget_cap:
                     return None
-                sol &= images(rule, *_linear_form(i, nu), *_linear_form(j, nu))
+                sol &= image(rule, i, j, forms)
                 if not sol:
                     return None
             sol &= window
-            # multiplicities along the chain must stay nonzero
-            for gc in chain_of_fiber.get(f, ()):
-                sol &= ~(1 << (-_linear_form(gc, nu)[1] % q))
+            # multiplicities along the fiber and its chain must stay nonzero
+            for _, beta in forms.values():
+                sol &= ~(1 << (-beta % q))
             if not sol:
                 return None
             feasible.append(sol)
@@ -402,68 +413,42 @@ def search_assignment(
         assert s == 0
         return out
 
-    nu: dict[str, int] = {}
-
-    def stage_mask(idx: int, xsum: int) -> int:
-        """Step values passing every section-section node the step completes.
-
-        No node end vanishes at a candidate: candidates lie in 1..q-1,
-        those of an "xlast" step skip the value zeroing S_{d+1}, and earlier
-        sections carry values in 1..q-1. So the images alone decide.
-        """
-        kind, comps = steps[idx]
-        forms = {comps[0]: (1, 0)}
-        if kind == "xlast":
-            forms[comps[1]] = (q - 1, (q - xsum) % q)
-        elif kind in ("a", "alast"):
-            forms[comps[1]] = (q - 1, 0)
+    def dfs(idx: int, s: int) -> dict[str, int] | None:
+        """Phase 1 from step `idx`, where s sums the earlier steps' values.
+        Entries of `nu` past `idx` may be stale; none is read before it is set."""
+        nonlocal attempts
+        if idx == n_steps:
+            return solve_fibers(s)
+        comp, partner = steps[idx]
+        hi = (q - weight * (s + n_steps - idx - 1) - reserve) // weight
+        beta = 0 if paired else -s
+        forms = {comp: (1, 0)}
+        if partner is not None:
+            forms[partner] = (q - 1, beta % q)
+        # Every candidate and every fixed section lies in 1..q-1, and a
+        # candidate that would zero its partner is skipped, so no node end
+        # vanishes: the images alone decide.
         mask = images.full
         for rule, i, j in stage_nodes[idx]:
-            a1, b1 = forms.get(i) or (0, nu[i])
-            a2, b2 = forms.get(j) or (0, nu[j])
-            mask &= images(rule, a1, b1, a2, b2)
-        return mask
-
-    def dfs(idx: int, xsum: int, asum: int) -> dict[str, int] | None:
-        nonlocal attempts
-        if idx == n_sec:
-            return solve_fibers(nu, xsum)
-        kind, comps = steps[idx]
-        if kind == "x":
-            hi = (q - weight * (xsum + n_sec - idx - 1) - n_y) // weight
-            candidates = (v for v in orders[idx] if v <= hi)
-        elif kind == "xlast":
-            hi = (q - weight * (xsum + n_sec - idx - 1) - n_y) // weight
-            candidates = (v for v in orders[idx] if v <= hi and (q - xsum - v) % q != 0)
-        elif kind == "a":
-            hi = q - asum - (n_sec - idx - 1)
-            candidates = (v for v in orders[idx] if v <= hi)
-        else:  # alast
-            forced = q - asum
-            candidates = (forced,) if 1 <= forced <= q - 1 else ()
-        mask = stage_mask(idx, xsum)
-        for v in candidates:
+            mask &= image(rule, i, j, forms)
+        # APRIME's pair values sum to q, so its last one is forced (hi = q - s)
+        values = (hi,) if paired and idx == n_steps - 1 else orders[idx]
+        for v in values:
+            if v > hi or (partner is not None and (beta - v) % q == 0):
+                continue
             attempts += 1
             if attempts > budget_cap:
                 return None
             if not (mask >> v) & 1:
                 continue
-            if kind in ("x", "xlast"):
-                nu[comps[0]] = v
-                if kind == "xlast":
-                    nu[comps[1]] = (q - xsum - v) % q
-                nxt = (xsum + v, asum)
-            else:
-                nu[comps[0]] = v
-                nu[comps[1]] = q - v
-                nxt = (xsum, asum + v)
-            ys = dfs(idx + 1, *nxt)
+            nu[comp] = v
+            if partner is not None:
+                nu[partner] = (beta - v) % q
+            ys = dfs(idx + 1, s + v)
             if ys is not None:
                 return ys
             if attempts > budget_cap:
                 return None
-            for comp in comps:
-                nu.pop(comp, None)
         return None
 
     # Deterministic restarts: each gets a fresh seeded value order and a
@@ -476,12 +461,11 @@ def search_assignment(
     ys = None
     for restart in range(restarts):
         rng = random.Random(f"search:{seed}:{restart}")
-        for i in range(n_steps):
-            orders[i] = rng.sample(range(1, q), q - 1)
+        orders = [rng.sample(range(1, q), q - 1) for _ in range(n_steps)]
         start = attempts
         budget_cap = min(node_budget, attempts + slice_budget)
         nu.clear()
-        ys = dfs(0, 0, 0)
+        ys = dfs(0, 0)
         if ys is not None or attempts >= node_budget:
             break
         if attempts <= budget_cap:

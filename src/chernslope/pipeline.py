@@ -24,8 +24,8 @@ from .partitions import (
     search_assignment,
     verify_asymptotic,
 )
-from .rootcover import BranchAssignment, chern_of_cover
-from .serialize import canonical_json
+from .rootcover import BranchAssignment, CoverInvariants, chern_of_cover
+from .serialize import canonical_json, jsonable
 
 DEFAULT_COMPONENT_CAP = 250_000
 DEFAULT_NODE_CAP = 20_000
@@ -52,6 +52,16 @@ def find_assignment(
     if not verify_asymptotic(config, found).ok:
         raise RuntimeError(f"backtracking search returned a bad assignment at q = {q}")
     return found, tries, "backtracking"
+
+
+def cover_fields(cover: CoverInvariants) -> dict:
+    """The cover invariants that the `slope` and `cover` reports share."""
+    return {
+        "c1sq": cover.c1sq, "c2": cover.c2, "chi": cover.chi,
+        "slope": cover.slope, "slope_approx": float(cover.slope),
+        "c_correction": cover.c_correction, "l_correction": cover.l_correction,
+        "defect_bound": cover.defect_bound,
+    }
 
 
 @dataclass(frozen=True)
@@ -99,11 +109,7 @@ def run_pipeline(
         "sampled": None,
     }
     if solved.params is not None:
-        pp = solved.params
-        report["params"] = {
-            "family": pp.family.value, "p": pp.p, "r": pp.r, "e": pp.e,
-            "d": pp.d, "g": pp.g, "u": pp.u, "w": pp.w,
-        }
+        report["params"] = jsonable(solved.params)
         report["limit_slope"] = solved.achieved_limit
         report["limit_slope_approx"] = float(solved.achieved_limit)
         report["error"] = solved.error
@@ -175,15 +181,8 @@ def run_pipeline(
         "q": q,
         "method": method,
         "tries": tries,
-        "c1sq": cover.c1sq,
-        "c2": cover.c2,
-        "chi": cover.chi,
-        "slope": cover.slope,
-        "slope_approx": float(cover.slope),
+        **cover_fields(cover),
         "slope_vs_limit_approx": abs(float(cover.slope) - float(limit)),
-        "c_correction": cover.c_correction,
-        "l_correction": cover.l_correction,
-        "defect_bound": cover.defect_bound,
         "nef": {
             "all_nonnegative": all(v >= 0 for v in nef.values()),
             "t_value": _t_value(params, q),

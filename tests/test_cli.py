@@ -14,6 +14,17 @@ def run_cli(*args, **kw):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
 
 
+# family A, d=3, u=1, w=1 at q=17: the sections sum to 17, 2*(S1+S2+S3+H1) + fibers = 17
+GOOD_BASE = {"S1": 1, "S2": 1, "S3": 1, "H1": 1, "F1": 2, "F2": 2, "F3": 2, "R1": 3, "S4": 13}
+
+
+def cover_from_base(tmp_path, base):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    return run_cli("cover", "--family", "A", "--u", "1", "--w", "1",
+                   "--q", "17", "--base-file", str(path))
+
+
 class TestDedekind:
     def test_json_fields(self):
         proc = run_cli("dedekind", "--q", "7", "--a", "2")
@@ -67,12 +78,7 @@ class TestSearchAndCover:
         assert out["method"] == "backtracking"
 
     def test_cover_from_base_file(self, tmp_path):
-        base = {"S1": 1, "S2": 1, "S3": 1, "H1": 1,
-                "F1": 2, "F2": 2, "F3": 2, "R1": 3, "S4": 13}
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(base))
-        proc = run_cli("cover", "--family", "A", "--u", "1", "--w", "1",
-                       "--q", "17", "--base-file", str(path))
+        proc = cover_from_base(tmp_path, GOOD_BASE)
         assert proc.returncode == 0
         out = json.loads(proc.stdout)
         c1sq = int(out["c1sq"]["num"])
@@ -163,15 +169,23 @@ class TestInvalidInputExits2:
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("base", [[1, 2, 3], {"S1": None}])
+    @pytest.mark.parametrize("base", [
+        [1, 2, 3], {"S1": None},
+        # a float, an integral float, a bool and a string: none is a JSON integer
+        *({**GOOD_BASE, "S1": value} for value in (1.9, 2.0, True, "3")),
+    ])
     def test_base_file_not_an_object_of_integers(self, tmp_path, base):
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(base))
-        proc = run_cli("cover", "--family", "A", "--u", "1", "--w", "1",
-                       "--q", "17", "--base-file", str(path))
+        proc = cover_from_base(tmp_path, base)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+
+    # each breaks a relation the sampler builds in, which leaves c1^2 non-integral
+    @pytest.mark.parametrize("change", [{"S4": 14}, {"R1": 4}, {"S1": 2, "S4": 12}])
+    def test_base_file_breaking_linear_equivalence(self, tmp_path, change):
+        proc = cover_from_base(tmp_path, {**GOOD_BASE, **change})
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the multiplicities break linear equivalence mod 17\n"
 
 
 class TestConfigFile:

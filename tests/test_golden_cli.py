@@ -42,8 +42,7 @@ GOLDEN = [
 ]
 
 
-def run_main(argv, monkeypatch):
-    monkeypatch.setenv("CHERNSLOPE_WORKERS", "1")
+def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
@@ -51,17 +50,17 @@ def run_main(argv, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-def test_stdout_hash(argv, code, digest, monkeypatch):
-    got_code, stdout = run_main(argv, monkeypatch)
+def test_stdout_hash(argv, code, digest):
+    got_code, stdout = run_main(argv)
     assert got_code == code
     assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == digest
 
 
-def test_slope_not_found_reports_sampler_diagnostics(monkeypatch):
+def test_slope_not_found_reports_sampler_diagnostics():
     # At a pinned q = 127 both the sampler and the search give up; the report
     # carries the search's attempt count and the sampler's diagnostics.
     code, stdout = run_main(["slope", "--target", "14/5", "--eps", "4/5", "--family", "APRIME",
-                             "--q-hint", "127", "--max-tries", "5"], monkeypatch)
+                             "--q-hint", "127", "--max-tries", "5"])
     assert code == 3
     sampled = json.loads(stdout)["sampled"]
     assert sampled["tries"] == 200001

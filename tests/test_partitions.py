@@ -145,6 +145,24 @@ def replay_sampler(problem, seed, max_tries):
     return NotFound(max_tries, zero_hits, fewest_bad, worst_node), max_tries
 
 
+class TestCheckBase:
+    @pytest.mark.parametrize("params, q", [
+        (ArrangementParams(Family.A, p=2, r=1, e=1, d=3, g=0, u=1, w=1), 101),
+        (ArrangementParams(Family.A, p=3, r=1, e=2, d=4, g=0, u=2, w=1), 211),
+        (ArrangementParams(Family.A0, p=2, r=2, e=1, d=3), 53),
+        (ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=6), 113),
+    ])
+    def test_seeded_draws_pass(self, params, q):
+        problem = PartitionProblem(build_resolution(params), q)
+        for t in range(40):
+            base = partitions._draw_base(problem, random.Random(f"0:{t}"))
+            partitions.check_base(problem.config, q, base)
+            if params.family is not Family.APRIME:
+                for cid in (problem.config.section_ids[0], problem.config.fiber_ids[-1]):
+                    with pytest.raises(InvalidAssignmentError):
+                        partitions.check_base(problem.config, q, {**base, cid: base[cid] + 1})
+
+
 class TestSamplerEarlyStop:
     @pytest.mark.parametrize("config_name, q", [
         ("family_a_d4_config", 53),   # t2 = 62
@@ -194,15 +212,27 @@ class TestBacktrackingSearch:
         result = search_assignment(PartitionProblem(family_a_config, q), seed=seed)
         assert nus_digest(result) == digest
 
-    @pytest.mark.parametrize("seed, digest", [(0, "bf5cc8c012d4ff78"), (1, "74f42808b83d4de0")])
-    def test_paired_assignment_pinned(self, paired_config, seed, digest):
-        result = search_assignment(PartitionProblem(paired_config, 499), seed=seed)
+    # explicit ids keep the q = 499 cases' established test names
+    @pytest.mark.parametrize("q, seed, digest", [
+        pytest.param(499, 0, "bf5cc8c012d4ff78", id="0-bf5cc8c012d4ff78"),
+        pytest.param(499, 1, "74f42808b83d4de0", id="1-74f42808b83d4de0"),
+        (97, 0, "723812220539d5bc"), (109, 0, "731294e24fcf0f39"), (127, 0, "54fe037eb7767889"),
+    ])
+    def test_paired_assignment_pinned(self, paired_config, q, seed, digest):
+        result = search_assignment(PartitionProblem(paired_config, q), seed=seed)
         assert nus_digest(result) == digest
 
-    @pytest.mark.parametrize("q, tries", [(41, 72552), (43, 100032), (47, 196440)])
-    def test_exhausted_attempts_pinned(self, family_a_d4_config, q, tries):
+    # explicit ids keep the family A cases' established test names
+    @pytest.mark.parametrize("config_name, q, tries", [
+        pytest.param("family_a_d4_config", 41, 72552, id="41-72552"),
+        pytest.param("family_a_d4_config", 43, 100032, id="43-100032"),
+        pytest.param("family_a_d4_config", 47, 196440, id="47-196440"),
+        ("paired_config", 17, 7912), ("paired_config", 31, 38032), ("paired_config", 53, 188352),
+    ])
+    def test_exhausted_attempts_pinned(self, request, config_name, q, tries):
         # the attempt count decides where the budget cuts a search off
-        result = search_assignment(PartitionProblem(family_a_d4_config, q), seed=0)
+        config = request.getfixturevalue(config_name)
+        result = search_assignment(PartitionProblem(config, q), seed=0)
         assert isinstance(result, NotFound)
         assert result.tries == tries
 
