@@ -7,7 +7,6 @@ from .density import (
     as_fraction,
     find_uv,
     lambda_fn,
-    solve,
     solve_family_a,
     solve_family_aprime,
 )

@@ -17,13 +17,11 @@ Good residues enjoy the length and Dedekind-sum bounds checked by
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
-
-import mpmath
 
 from . import numtheory
 # verify_bounds calls `numtheory.dedekind_data` through the module, the name
@@ -52,10 +50,6 @@ class BadSet:
         m = self.members
         runs = (range(lo + 1, hi) for lo, hi in zip((0, *m), (*m, self.q)))
         return tuple(chain.from_iterable(runs))
-
-    def __contains__(self, a: int) -> bool:
-        i = bisect.bisect_left(self.members, a)
-        return i < len(self.members) and self.members[i] == a
 
 
 def bad_set(q: int, C) -> BadSet:
@@ -99,6 +93,15 @@ def _leq_shifted_sqrt(num: int, den: int, shift: int, C: Fraction, q: int) -> bo
     cn, cd = C.numerator, C.denominator
     # 2 + 1/C = (2*cn + cd)/cn; square both sides of diff/den <= that * sqrt(q)
     return (diff * cn) ** 2 <= ((2 * cn + cd) * den) ** 2 * q
+
+
+def _card_bound_ok(size: int, C: Fraction, q: int) -> bool:
+    """size <= C*sqrt(q)*(log q + 2 log 2) = C*sqrt(q)*log(4q), at 60 digits;
+    `decimal` rounds sqrt and ln correctly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rhs = Decimal(C.numerator) / C.denominator * Decimal(q).sqrt() * Decimal(4 * q).ln()
+        return size <= rhs
 
 
 @dataclass(frozen=True)
@@ -149,17 +152,11 @@ def verify_bounds(q: int, C) -> BoundReport:
     length_ok = _leq_shifted_sqrt(worst_l, 1, 2, C, q)
     sum_ok = _leq_shifted_sqrt(worst_s12q, q, 5, C, q)
 
-    with mpmath.workdps(60):
-        rhs = (mpmath.mpf(C.numerator) / C.denominator) * mpmath.sqrt(q) * (
-            mpmath.log(q) + 2 * mpmath.log(2)
-        )
-        card_ok = mpmath.mpf(len(fs.members)) <= rhs
-
     return BoundReport(
         q=q,
         C=C,
         f_size=len(fs.members),
-        card_bound_ok=bool(card_ok),
+        card_bound_ok=_card_bound_ok(len(fs.members), C, q),
         worst_length=(worst_la, worst_l),
         worst_scaled_sum=(worst_sa, Fraction(worst_s12q, q)),
         length_bound_ok=length_ok,

@@ -2,8 +2,9 @@
 
 Reports go to stdout as JSON (exact rationals as {"num", "den"} pairs;
 floats only in *_approx fields); logs and errors go to stderr. Exit codes:
-0 success, 2 invalid input, 3 search exhausted / cap hit. A key=value
-config file can predefine any long option; explicit flags win.
+0 success, 1 stdout closed by its reader, 2 invalid input, 3 search
+exhausted / cap hit. A key=value config file can predefine any long
+option; explicit flags win.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -430,6 +432,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: not bad input. Point stdout at devnull so
+        # the flush at exit stays quiet, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DomainError, DegenerateParameterError, InvalidAssignmentError,
             ValueError, OSError) as exc:
         _log(f"error: {exc}")

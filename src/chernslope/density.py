@@ -35,9 +35,9 @@ def lambda_fn(x) -> Fraction:
     return x / 4 + 1 / (4 * x) - Fraction(1, 2)
 
 
-def _sqrt_lower(y: Fraction, digits: int = 40) -> Fraction:
-    """Rational lower approximation of sqrt(y) good to ~10^-digits."""
-    scale = 10**digits
+def _sqrt_lower(y: Fraction) -> Fraction:
+    """Rational lower approximation of sqrt(y) good to ~10^-40."""
+    scale = 10**40
     n = y.numerator * y.denominator * scale * scale
     return Fraction(math.isqrt(n), y.denominator * scale)
 
@@ -263,10 +263,3 @@ def solve_family_aprime(
     }
     status = "ok" if error < eps else "cap_hit"
     return SolvedParams(x, eps, params, achieved, error, status, diagnostics)
-
-
-def solve(target, epsilon, p: int = 2, family: Family | str = Family.A, **kwargs) -> SolvedParams:
-    family = Family(family)
-    if family is Family.APRIME:
-        return solve_family_aprime(target, epsilon, p=p, **kwargs)
-    return solve_family_a(target, epsilon, p=p, **kwargs)

@@ -118,7 +118,6 @@ class Tangency:
     """One resolved tangency point: two sections, the fiber through it and
     the exceptional chain, ordered from the fiber end to the section end."""
 
-    index: int
     sections: tuple[str, str]
     fiber: str
     chain: tuple[str, ...]
@@ -227,7 +226,7 @@ def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
             paired = params.family is Family.APRIME and i % 2 == 1 and j == i + 1
             if paired:
                 exempt.update(links)
-            tangs.append(Tangency(t, (sa, sb), fid, chain, paired))
+            tangs.append(Tangency((sa, sb), fid, chain, paired))
     assert t == params.delta
 
     for a_idx, hid in enumerate(h_ids):

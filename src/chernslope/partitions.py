@@ -128,15 +128,13 @@ def residue_rule(
 class AsymptoticReport:
     ok: bool
     bad_nodes: tuple[tuple[tuple[str, str, int], int], ...]  # (node, residue)
-    exempt_count: int
 
 
 def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -> AsymptoticReport:
     """Check every node residue against `residue_rule`."""
     allowed = residue_rule(config, assign.q)
     bad = tuple((node, a) for node, a in assign.residues(config) if not allowed(node)[a])
-    exempt_count = sum(node[2] for node in config.exempt_nodes)
-    return AsymptoticReport(ok=not bad, bad_nodes=bad, exempt_count=exempt_count)
+    return AsymptoticReport(ok=not bad, bad_nodes=bad)
 
 
 def sample_with_stats(

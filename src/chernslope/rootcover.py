@@ -66,7 +66,8 @@ class BranchAssignment:
     ) -> "BranchAssignment":
         """Extend multiplicities on the non-exceptional components to the
         chains: over a tangency with section multiplicities a, b and fiber
-        multiplicity y, the k-th chain curve carries k(a + b) + y mod q."""
+        multiplicity y, the k-th chain curve carries k(a + b) + y mod q.
+        `base` must name exactly the base components."""
         nus: dict[str, int] = {}
         for cid in config.base_ids:
             if cid not in base:
@@ -75,6 +76,9 @@ class BranchAssignment:
             if nu == 0:
                 raise InvalidAssignmentError(f"nu({cid}) = 0 mod {q}")
             nus[cid] = nu
+        if len(base) != len(nus):  # chain multiplicities are derived, not given
+            unknown = next(cid for cid in base if cid not in nus)
+            raise InvalidAssignmentError(f"{unknown} is not a base component")
         for tang in config.tangencies:
             s = (nus[tang.sections[0]] + nus[tang.sections[1]]) % q
             y = nus[tang.fiber]
@@ -124,10 +128,6 @@ class CoverInvariants:
     l_correction: int       # sum over nodes of l(a, q) * multiplicity
     defect_bound: int | None
     singularities: tuple[SingularityRecord, ...]
-
-    @property
-    def chi_is_integral(self) -> bool:
-        return self.chi.denominator == 1
 
 
 def defect_bound(q: int, t2: int) -> int:

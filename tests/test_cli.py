@@ -187,6 +187,39 @@ class TestInvalidInputExits2:
         assert proc.returncode == 2
         assert proc.stderr == "error: the multiplicities break linear equivalence mod 17\n"
 
+    # S9 does not exist; G1.1 is a chain curve, whose multiplicity is derived
+    @pytest.mark.parametrize("extra", ["S9", "G1.1"])
+    def test_base_file_key_naming_no_base_component(self, tmp_path, extra):
+        proc = cover_from_base(tmp_path, {**GOOD_BASE, extra: 5})
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {extra} is not a base component\n"
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_exits_1_quietly(self):
+        # about 1 MB of JSON: the writer is still writing when the reader closes
+        with subprocess.Popen(CLI + ["badset", "--q", "100003"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
+
+
+class TestStdlibOnlyRuntime:
+    def test_import_loads_no_third_party_module(self):
+        # a fresh interpreter, so modules the test run loaded do not hide any
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import chernslope, chernslope.cli\n"
+            "top = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(top - set(sys.stdlib_module_names) - {'chernslope'}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):

@@ -7,11 +7,10 @@ from chernslope.density import (
     _aprime_fraction,
     find_uv,
     lambda_fn,
-    solve,
     solve_family_a,
     solve_family_aprime,
 )
-from chernslope.geometry import Family, limit_slope
+from chernslope.geometry import limit_slope
 from chernslope.numtheory import DomainError
 
 TARGETS = [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(314159, 100000),
@@ -55,23 +54,17 @@ class TestSolvers:
 
 
 class TestDispatcher:
-    def test_routes_by_family(self):
-        a = solve(Fraction(3), EPS, family="A")
-        b = solve(Fraction(3), EPS, family=Family.APRIME)
-        assert a.params.family is Family.A
-        assert b.params.family is Family.APRIME
-
     def test_float_targets_accepted(self):
-        solved = solve(3.14159, Fraction(1, 100), family="APRIME")
+        solved = solve_family_aprime(3.14159, Fraction(1, 100))
         assert abs(solved.achieved_limit - Fraction(314159, 100000)) < EPS
 
     def test_error_field_matches(self):
-        solved = solve(Fraction(4), EPS, family="A")
+        solved = solve_family_a(Fraction(4), EPS)
         assert solved.error == abs(solved.achieved_limit - Fraction(4))
 
     def test_target_below_two_rejected(self):
         with pytest.raises(Exception):
-            solve(Fraction(3, 2), EPS, family="A")
+            solve_family_a(Fraction(3, 2), EPS)
 
 
 def small_offset_scan(target, eps, p, l_cap):

@@ -67,6 +67,14 @@ class TestBranchAssignment:
         with pytest.raises(InvalidAssignmentError):
             BranchAssignment.from_base(small_config, 17, {"S1": 1})
 
+    # S9 does not exist; G1.1 is a chain curve, whose multiplicity is derived
+    @pytest.mark.parametrize("extra", ["S9", "G1.1"])
+    def test_rejects_key_naming_no_base_component(self, small_config, extra):
+        base = {"S1": 1, "S2": 1, "S3": 1, "H1": 1,
+                "F1": 2, "F2": 2, "F3": 2, "R1": 3, "S4": 13, extra: 5}
+        with pytest.raises(InvalidAssignmentError, match=f"^{extra} is not a base component$"):
+            BranchAssignment.from_base(small_config, 17, base)
+
     def test_residues_cover_every_node(self, small_config, hand_assignment):
         nodes = {(i, j, c) for i, j, c in small_config.nodes}
         seen = {node for node, _ in hand_assignment.residues(small_config)}
@@ -118,7 +126,7 @@ class TestCoverInvariants:
         inv = chern_of_cover(small_config, hand_assignment)
         assert (inv.c1sq + inv.c2) % 12 == 0
         assert inv.chi == (inv.c1sq + inv.c2) // 12
-        assert inv.chi_is_integral
+        assert inv.chi.denominator == 1
 
     def test_slope_consistent(self, small_config, hand_assignment):
         inv = chern_of_cover(small_config, hand_assignment)
