@@ -3,8 +3,8 @@
 Reports go to stdout as JSON (exact rationals as {"num", "den"} pairs;
 floats only in *_approx fields); logs and errors go to stderr. Exit codes:
 0 success, 1 stdout closed by its reader, 2 invalid input, 3 search
-exhausted / cap hit. A key=value config file can predefine any long
-option; explicit flags win.
+exhausted / cap hit / sampled cover off the target slope. A key=value
+config file can predefine any long option; explicit flags win.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .geometry import (
     log_chern_pair,
 )
 from .numtheory import DomainError, dedekind_data, is_prime, primes_between
-from .partitions import NotFound, check_base
+from .partitions import NotFound, PartitionProblem, check_base, sampler_diagnostics
 # cli never calls these itself (`pipeline.find_assignment` does), but the
 # capture and tracing hooks in perfbench/ look them up on this module with
 # getattr, so they stay importable from it.
@@ -152,9 +152,11 @@ def _cmd_search(args) -> int:
     config = build_resolution(_params_from_args(args))
     result, tries, method = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
     if isinstance(result, NotFound):
+        fewest_bad, worst_node = sampler_diagnostics(
+            PartitionProblem(config, args.q), args.seed, args.max_tries)
         _emit({"status": "not_found", "tries": tries, "zero_hits": result.zero_hits,
-               "fewest_bad": result.fewest_bad,
-               "worst_node": list(result.worst_node) if result.worst_node else None})
+               "fewest_bad": fewest_bad,
+               "worst_node": list(worst_node) if worst_node else None})
         return EXIT_NOT_FOUND
     _emit({"status": "ok", "q": result.q, "tries": tries, "method": method,
            "nus": dict(result.nus)})

@@ -7,15 +7,16 @@ paired sections and a length-delta one for the fibers). `residue_rule`
 says which residues each node may carry: the good set, except at the
 structurally exempt full-turn nodes of APRIME's paired tangencies, which
 must carry q - 1. `sample_with_stats` draws uniform compositions of the
-residual after assigning 1 everywhere and keeps a draw that obeys the rule;
-`search_assignment` is the deterministic backtracking search for the cases
-where such draws are too rare. `pipeline.find_assignment` runs the two in
+residual after assigning 1 everywhere and keeps a draw that obeys the rule
+(`sampler_diagnostics` replays a failed run's draws for the reports that
+say how close they came); `search_assignment` is the deterministic
+backtracking search for the cases where such draws are too rare. `pipeline.find_assignment` runs the two in
 that order.
 """
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -137,40 +138,60 @@ def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -
     return AsymptoticReport(ok=not bad, bad_nodes=bad)
 
 
-def sample_with_stats(
-    problem: PartitionProblem, seed: int, max_tries: int = 200
-) -> tuple[BranchAssignment | NotFound, int]:
-    """Seeded retry loop; deterministic per-try generators keyed off
-    (seed, try index) so any scheduling of tries reproduces the result.
-    Returns (result, tries used).
-
-    A draw's bad nodes are counted only until they reach `fewest_bad`: past
-    that the draw can neither succeed nor replace the best draw, so the
-    rest of its residues are never computed."""
-    zero_hits = 0
-    fewest_bad: int | None = None
-    worst_node = None
+def _draws(
+    problem: PartitionProblem, seed: int, max_tries: int
+) -> Iterator[tuple[BranchAssignment, Iterator[tuple[str, str, int]]] | None]:
+    """The sampler's seeded draws, one generator per (seed, try index) so
+    any scheduling of tries reproduces them: each is None if a multiplicity
+    collapses mod q, else the assignment and its nodes that break
+    `residue_rule`, in node order and computed as they are consumed."""
     allowed = residue_rule(problem.config, problem.q)
     tables = [allowed(node) for node in problem.config.nodes]
     neg_inv = NegatedInverses(problem.q)
     for t in range(max_tries):
-        rng = random.Random(f"{seed}:{t}")
-        base = _draw_base(problem, rng)
+        base = _draw_base(problem, random.Random(f"{seed}:{t}"))
         try:
             assign = BranchAssignment.from_base(problem.config, problem.q, base)
         except InvalidAssignmentError:
-            zero_hits += 1
+            yield None
             continue
         residues = assign.residues(problem.config, neg_inv)
-        bad = list(islice((node for (node, a), table in zip(residues, tables) if not table[a]),
-                          fewest_bad))
-        if not bad:
-            return assign, t + 1
-        if fewest_bad is None or len(bad) < fewest_bad:
-            fewest_bad = len(bad)
-            worst_node = bad[0]
-    nf = NotFound(tries=max_tries, zero_hits=zero_hits, fewest_bad=fewest_bad, worst_node=worst_node)
-    return nf, max_tries
+        yield assign, (node for (node, a), table in zip(residues, tables) if not table[a])
+
+
+def sample_with_stats(
+    problem: PartitionProblem, seed: int, max_tries: int = 200
+) -> tuple[BranchAssignment | NotFound, int]:
+    """Seeded rejection sampling: returns (the first draw that obeys
+    `residue_rule`, draws used), or (NotFound, max_tries).
+
+    A draw is dropped at its first bad node, so the NotFound carries no
+    fewest_bad or worst_node; `sampler_diagnostics` replays the same draws
+    for the reports that print them."""
+    zero_hits = 0
+    for t, draw in enumerate(_draws(problem, seed, max_tries), start=1):
+        if draw is None:
+            zero_hits += 1
+        elif next(draw[1], None) is None:
+            return draw[0], t
+    return NotFound(tries=max_tries, zero_hits=zero_hits, fewest_bad=None, worst_node=None), max_tries
+
+
+def sampler_diagnostics(
+    problem: PartitionProblem, seed: int, max_tries: int
+) -> tuple[int | None, tuple[str, str, int] | None]:
+    """(fewest_bad, worst_node) over the draws of a failed
+    `sample_with_stats(problem, seed, max_tries)`: the fewest rule-breaking
+    nodes in one draw, and the first of them. A draw's bad nodes are counted
+    only until they reach the best count so far, since past it the draw
+    cannot replace the best one. Both are None if every draw collapsed."""
+    fewest_bad: int | None = None
+    worst_node = None
+    for draw in _draws(problem, seed, max_tries):
+        bad = list(islice(draw[1], fewest_bad)) if draw else []
+        if bad and (fewest_bad is None or len(bad) < fewest_bad):
+            fewest_bad, worst_node = len(bad), bad[0]
+    return fewest_bad, worst_node
 
 
 def _section_steps(problem: PartitionProblem) -> list[tuple[str, str | None]]:
@@ -207,14 +228,19 @@ class NodeImages:
     vanish, since every a then works. Shifting v by t = b1/a1 (or b2/a2
     when a1 = 0) turns the image into a bit rotation of the image of
     (a1, b1 - a1*t, a2, b2 - a2*t), so nodes that differ by a translation
-    of v share one evaluation of the node residue at every v.
+    of v share one evaluation.
+
+    An evaluation costs one step per residue of the shorter of the table's
+    allowed and disallowed lists (the full turn at an exempt node, F and 0
+    elsewhere), not one per v: for a fixed residue a the node equation is
+    linear in v, so it has one root, none, or every v.
     """
 
     def __init__(self, q: int) -> None:
         self.q = q
         self.full = (1 << q) - 1
         self._inv = [0] + [pow(v, -1, q) for v in range(1, q)]
-        self._neg_inv = [(q - x) % q for x in self._inv]
+        self._listed: dict[bytes, tuple[int, list[int]]] = {}
         self._memo: dict[tuple, int] = {}
 
     def __call__(self, allowed: bytes, a1: int, b1: int, a2: int, b2: int) -> int:
@@ -234,19 +260,41 @@ class NodeImages:
         self._memo[key] = img
         return img
 
+    def _residue_list(self, allowed: bytes) -> tuple[int, list[int]]:
+        """(byte, residues): the residues whose table byte is `byte`, for
+        whichever byte value is rarer in `allowed`."""
+        listed = self._listed.get(allowed)
+        if listed is None:
+            byte = int(2 * allowed.count(1) <= self.q)
+            residues, a = [], allowed.find(byte)
+            while a >= 0:
+                residues.append(a)
+                a = allowed.find(byte, a + 1)
+            listed = self._listed[allowed] = (byte, residues)
+        return listed
+
     def _evaluate(self, allowed: bytes, a1: int, b1: int, a2: int, b2: int) -> int:
-        q = self.q
-        neg_inv = self._neg_inv
-        # the residue -m_j/m_i at every v; neg_inv[0] = 0 sends a vanishing
-        # first end to residue 0, which no rule allows
-        bits = bytearray(map(allowed.__getitem__, [
-            (a2 * v + b2) * neg_inv[(a1 * v + b1) % q] % q for v in range(q)
-        ]))
+        q, inv = self.q, self._inv
+        if not (a1 or b1):
+            # the first end vanishes at every v: v is in the image exactly
+            # when the second end vanishes too
+            if a2:
+                return 1 << ((q - b2) * inv[a2] % q)
+            return 0 if b2 else self.full
+        # Where the first end is nonzero the residue is a exactly at the roots
+        # of (a*a1 + a2)*v + (a*b1 + b2): start from the other byte value and
+        # give the roots of the listed residues the listed one.
+        byte, residues = self._residue_list(allowed)
+        bits = bytearray((1 - byte,)) * q
+        for a in residues:
+            den = (a * a1 + a2) % q
+            if den:
+                bits[-(a * b1 + b2) * inv[den] % q] = byte
+            elif (a * b1 + b2) % q == 0:
+                bits = bytearray((byte,)) * q  # the residue is a at every v
+                break
         if a1:
-            zeros = ((q - b1) * self._inv[a1] % q,)
-        else:
-            zeros = range(q) if b1 == 0 else ()
-        for v in zeros:
+            v = (q - b1) * inv[a1] % q  # the first end vanishes here only
             bits[v] = (a2 * v + b2) % q == 0
         return int(bits.translate(_BINARY_DIGITS)[::-1], 2)
 

@@ -21,6 +21,7 @@ from .partitions import (
     PartitionProblem,
     min_feasible_q,
     sample_with_stats,
+    sampler_diagnostics,
     search_assignment,
     verify_asymptotic,
 )
@@ -39,7 +40,9 @@ def find_assignment(
     Returns (result, tries, method): `tries` counts the sampler's draws and
     `method` is "rejection", "backtracking" or None. On failure the NotFound
     carries the search's attempt count as `tries` and the sampler's
-    zero_hits, fewest_bad and worst_node.
+    zero_hits; its fewest_bad and worst_node are None, since the sampler
+    drops each draw at its first bad node. A report that prints them gets
+    them from `sampler_diagnostics`.
     """
     problem = PartitionProblem(config, q)
     sampled, tries = sample_with_stats(problem, seed=seed, max_tries=max_tries)
@@ -147,34 +150,52 @@ def run_pipeline(
     while q == p:
         q = next_prime(q + 1)
 
+    # A cover whose slope misses the target by epsilon or more escalates
+    # like a failed search.
     attempts_log: list[dict] = []
     for _escalation in range(6):
         result, tries, method = find_assignment(config, q, seed, max_tries)
-        if method is not None:
-            break
-        attempts_log.append({
-            "q": q,
-            "rejection_tries": tries,
-            "search_attempts": result.tries,
-        })
+        if method is None:
+            status = "not_found"
+            attempts_log.append({
+                "q": q,
+                "rejection_tries": tries,
+                "search_attempts": result.tries,
+            })
+        else:
+            cover = chern_of_cover(config, result)
+            if abs(cover.slope - solved.target) < solved.epsilon:
+                status = "ok"
+                break
+            status = "off_target"
+            attempts_log.append({
+                "q": q,
+                "method": method,
+                "slope": cover.slope,
+                "slope_approx": float(cover.slope),
+            })
         if q_hint is not None:
             break  # the caller pinned q; report the failure there
         q = next_prime(2 * q)
         while q == p:
             q = next_prime(q + 1)
-    if method is None:
-        report["status"] = "not_found"
+    report["status"] = status
+    if status == "not_found":
+        # the diagnostics are the last tried q's, although the report names
+        # the next prime once the escalations run out
+        problem = PartitionProblem(config, attempts_log[-1]["q"])
+        fewest_bad, worst_node = sampler_diagnostics(problem, seed, max_tries)
         report["sampled"] = {
             "q": q,
             "tries": result.tries,
             "zero_hits": result.zero_hits,
-            "fewest_bad": result.fewest_bad,
-            "worst_node": list(result.worst_node) if result.worst_node else None,
+            "fewest_bad": fewest_bad,
+            "worst_node": list(worst_node) if worst_node else None,
             "escalations": attempts_log,
         }
         return PipelineResult(report)
 
-    cover = chern_of_cover(config, result)
+    q = cover.q
     limit = solved.achieved_limit
     nef = closed_entries(params, q)
     report["sampled"] = {
@@ -188,4 +209,6 @@ def run_pipeline(
             "t_value": _t_value(params, q),
         },
     }
+    if status == "off_target":
+        report["sampled"]["escalations"] = attempts_log
     return PipelineResult(report)

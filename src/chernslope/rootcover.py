@@ -159,6 +159,9 @@ def chern_of_cover(config: ResolvedConfiguration, assign: BranchAssignment) -> C
     if c2_x == 0:
         raise InvalidAssignmentError("cover has vanishing c2")
     chi = (c1sq_x + c2_x) / 12
+    if chi.denominator != 1:
+        # Noether's formula: a library bug, not bad input
+        raise RuntimeError(f"c1^2 + c2 = {c1sq_x + c2_x} is not divisible by 12 at q = {q}")
 
     sings = tuple(
         SingularityRecord(node=node, a=a, hj_digits=data[a].digits, c=c[a], l=data[a].length)

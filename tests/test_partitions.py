@@ -1,12 +1,16 @@
 """Randomized and backtracking searches for good branch assignments."""
+import contextlib
 import hashlib
+import io
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from chernslope import partitions
+from chernslope import cli, partitions, pipeline
 from chernslope.badset import good_table
 from chernslope.geometry import ArrangementParams, Family, build_resolution
 from chernslope.numtheory import DomainError
@@ -15,6 +19,7 @@ from chernslope.partitions import (
     NotFound,
     PartitionProblem,
     sample_with_stats,
+    sampler_diagnostics,
     search_assignment,
     verify_asymptotic,
 )
@@ -56,6 +61,19 @@ def moebius_image(table, q, a1, b1, a2, b2) -> set[int]:
             continue
         sols.add(num * pow(den, -1, q) % q)
     return sols
+
+
+def per_v_image(table, q, a1, b1, a2, b2) -> int:
+    """The node image as an int, from the node residue at every v: the
+    residue -m2/m1 where the first end m1 is nonzero, and the whole of
+    table where it vanishes, which holds exactly when m2 vanishes too
+    (reference, O(q))."""
+    img = 0
+    for v in range(q):
+        m1, m2 = (a1 * v + b1) % q, (a2 * v + b2) % q
+        ok = table[m2 * (q - pow(m1, -1, q)) % q] if m1 else m2 == 0
+        img |= ok << v
+    return img
 
 
 class TestProblemValidation:
@@ -163,18 +181,126 @@ class TestCheckBase:
                         partitions.check_base(problem.config, q, {**base, cid: base[cid] + 1})
 
 
+def run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def give_up(problem, seed):
+    """A backtracking search that always fails, so reports end not_found."""
+    return NotFound(tries=7, zero_hits=0, fewest_bad=None, worst_node=None)
+
+
+def count_calls(monkeypatch, name, modules):
+    """Wrap partitions' `name` as each module holds it; returns the list of
+    (q, positional args) the wrapped calls received."""
+    calls = []
+    real = getattr(partitions, name)
+
+    def counted(problem, *args, **kwargs):
+        calls.append((problem.q, args))
+        return real(problem, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestSamplerEarlyStop:
-    @pytest.mark.parametrize("config_name, q", [
+    CASES = [
         ("family_a_d4_config", 53),   # t2 = 62
         ("paired_config", 113),       # t2 = 120, with exempt full-turn nodes
         ("paired_config", 127),
-    ])
+    ]
+    # the same configurations as CLI arguments
+    ARGS = {
+        "family_a_d4_config": ["--family", "A", "--d", "4", "--u", "1", "--w", "1"],
+        "paired_config": ["--family", "APRIME", "--d", "6"],
+    }
+
+    @pytest.mark.parametrize("config_name, q", CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_full_count_replay(self, request, config_name, q, seed):
+        # the sampler stops each draw at its first bad node; the diagnostics
+        # pass restores what a full count of every draw reports
         problem = PartitionProblem(request.getfixturevalue(config_name), q)
-        result = sample_with_stats(problem, seed=seed, max_tries=200)
-        assert result == replay_sampler(problem, seed, 200)
-        assert isinstance(result[0], NotFound) and result[0].fewest_bad is not None
+        result, tries = sample_with_stats(problem, seed=seed, max_tries=200)
+        assert result.fewest_bad is None and result.worst_node is None
+        fewest_bad, worst_node = sampler_diagnostics(problem, seed, 200)
+        assert fewest_bad is not None
+        full = replace(result, fewest_bad=fewest_bad, worst_node=worst_node)
+        assert (full, tries) == replay_sampler(problem, seed, 200)
+
+    @pytest.mark.parametrize("config_name, q", CASES)
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_search_report_matches_full_count_replay(self, request, monkeypatch, config_name,
+                                                     q, seed):
+        monkeypatch.setattr(pipeline, "search_assignment", give_up)
+        code, stdout = run_main(["search", *self.ARGS[config_name], "--q", str(q),
+                                 "--seed", str(seed), "--max-tries", "60"])
+        assert code == 3
+        problem = PartitionProblem(request.getfixturevalue(config_name), q)
+        full, tries = replay_sampler(problem, seed, 60)
+        assert json.loads(stdout) == {
+            "status": "not_found", "tries": tries, "zero_hits": full.zero_hits,
+            "fewest_bad": full.fewest_bad, "worst_node": list(full.worst_node),
+        }
+
+    @pytest.mark.parametrize("max_tries", [5, 40])
+    def test_slope_report_matches_full_count_replay_at_escalated_q(self, monkeypatch,
+                                                                   paired_config, max_tries):
+        # every escalation fails; the report's diagnostics are the last tried q's
+        monkeypatch.setattr(pipeline, "search_assignment", give_up)
+        diagnosed = count_calls(monkeypatch, "sampler_diagnostics", [pipeline])
+        result = pipeline.run_pipeline(Fraction(2), Fraction(3, 20), family="APRIME", seed=0,
+                                       max_tries=max_tries)
+        assert result.report["params"]["d"] == paired_config.params.d
+        sampled = result.report["sampled"]
+        assert result.status == "not_found" and len(sampled["escalations"]) == 6
+        last_q = sampled["escalations"][-1]["q"]
+        full, _ = replay_sampler(PartitionProblem(paired_config, last_q), 0, max_tries)
+        assert (sampled["zero_hits"], sampled["fewest_bad"], sampled["worst_node"]) == (
+            full.zero_hits, full.fewest_bad, list(full.worst_node))
+        assert diagnosed == [(last_q, (0, max_tries))]
+
+    def test_no_diagnostics_unless_printed(self, monkeypatch):
+        diagnosed = count_calls(monkeypatch, "sampler_diagnostics", [pipeline, cli])
+        # successes: by rejection, by backtracking, and a slope report that
+        # escalates past an off-target cover
+        assert run_main(["search", "--family", "A", "--u", "1", "--w", "1", "--q", "499",
+                         "--seed", "1", "--max-tries", "20000"])[0] == 0
+        assert run_main(["search", "--family", "A", "--u", "1", "--w", "1", "--q", "101",
+                         "--max-tries", "50"])[0] == 0
+        assert pipeline.run_pipeline(Fraction(2), Fraction(3, 20), family="APRIME").status == "ok"
+        # sweep rows that end not_found
+        monkeypatch.setattr(pipeline, "search_assignment", give_up)
+        code, stdout = run_main(["sweep", *self.ARGS["family_a_d4_config"], "--q-min", "41",
+                                 "--q-max", "60", "--max-tries", "5"])
+        assert code == 0 and stdout.count("not_found") == 5
+        assert diagnosed == []
+        # a pinned q prints one report after one failure
+        result = pipeline.run_pipeline(Fraction(2), Fraction(3, 20), family="APRIME",
+                                       q_hint=127, max_tries=5)
+        assert result.status == "not_found"
+        assert diagnosed == [(127, (0, 5))]
+
+
+class TestFindAssignment:
+    @pytest.mark.parametrize("q, seed, max_tries, method", [
+        (499, 1, 20000, "rejection"), (101, 0, 50, "backtracking"), (53, 0, 20, None),
+    ])
+    def test_samples_once_and_searches_at_most_once(self, monkeypatch, family_a_config,
+                                                     family_a_d4_config, q, seed, max_tries,
+                                                     method):
+        config = family_a_d4_config if method is None else family_a_config
+        sampled = count_calls(monkeypatch, "sample_with_stats", [pipeline])
+        searched = count_calls(monkeypatch, "search_assignment", [pipeline])
+        _result, _tries, got = pipeline.find_assignment(config, q, seed=seed, max_tries=max_tries)
+        assert got == method
+        assert len(sampled) == 1
+        assert len(searched) == (0 if method == "rejection" else 1)
 
 
 class TestBacktrackingSearch:
@@ -301,6 +427,41 @@ class TestNodeImages:
                 img = images(table, *form)
                 assert 0 <= img <= images.full
                 assert {v for v in range(q) if (img >> v) & 1} == moebius_image(table, q, *form)
+
+    @staticmethod
+    def tables(q):
+        """The good table, the full turn, nothing allowed, all but 0 allowed."""
+        return (good_table(q, 1), bytes(q - 1) + b"\x01", bytes(q), b"\x00" + b"\x01" * (q - 1))
+
+    @staticmethod
+    def forms(q, rng, count):
+        """Random forms over all of Z/q, with zero coefficients and
+        identical ends mixed in."""
+        out = [(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)]
+        for _ in range(count):
+            a1, b1, a2, b2 = (rng.randrange(q) for _ in range(4))
+            out += [(a1, b1, a2, b2), (0, 0, a2, b2), (a1, b1, 0, b2), (0, b1, a2, b2),
+                    (a1, b1, a1, b1), (a1, b1, -a1 % q, -b1 % q)]
+        return out
+
+    @pytest.mark.parametrize("q", [5, 41, 499, 3847])
+    def test_evaluate_matches_per_v_reference(self, q):
+        images = NodeImages(q)
+        rng = random.Random(f"per-v:{q}")
+        for table in self.tables(q):
+            for form in self.forms(q, rng, 12):
+                assert images._evaluate(table, *form) == per_v_image(table, q, *form), form
+                assert images(table, *form) == per_v_image(table, q, *form), form
+
+    def test_evaluate_matches_per_v_reference_at_large_q(self):
+        q = 30931
+        images = NodeImages(q)
+        rng = random.Random("per-v:large")
+        forms = [(1, 0, 1, 0), (0, 0, rng.randrange(q), rng.randrange(q))]
+        forms += [tuple(rng.randrange(q) for _ in range(4)) for _ in range(3)]
+        for table in self.tables(q):
+            for form in forms:
+                assert images._evaluate(table, *form) == per_v_image(table, q, *form), form
 
 
 class TestExemptNodes:

@@ -1,9 +1,13 @@
 """End-to-end report assembly and reproducibility."""
+import contextlib
+import io
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from chernslope import pipeline
+from chernslope import cli, density, pipeline
 from chernslope.geometry import ArrangementParams, Family, build_resolution
 from chernslope.pipeline import run_pipeline
 from chernslope.rootcover import BranchAssignment
@@ -77,3 +81,46 @@ class TestFindAssignment:
         monkeypatch.setattr(pipeline, "search_assignment", lambda problem, seed: bad)
         with pytest.raises(RuntimeError):
             pipeline.find_assignment(config, 17, seed=0, max_tries=0)
+
+
+class TestOffTarget:
+    """A sampled cover must land within epsilon of the target slope, checked
+    exactly. For APRIME (2, 3/20) the limit slope is 2.103 and the cover's
+    slope at q = 127, 257, 521, ... is 1.807, 1.907, 1.980, ..."""
+
+    def test_escalates_past_an_off_target_cover(self):
+        result = run_pipeline(Fraction(2), Fraction(3, 20), family="APRIME", seed=0)
+        assert result.status == "ok"
+        sampled = result.report["sampled"]
+        assert sampled["q"] == 257
+        assert abs(sampled["slope"] - 2) < Fraction(3, 20)
+        assert "escalations" not in sampled
+
+    def test_pinned_q_ends_off_target(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["slope", "--target", "2", "--eps", "3/20", "--family", "APRIME",
+                             "--q-hint", "127"])
+        assert code == 3
+        report = json.loads(out.getvalue())
+        assert report["status"] == "off_target"
+        sampled = report["sampled"]
+        assert sampled["q"] == 127
+        assert sampled["slope"] == {"num": "4859", "den": "2689"}
+        assert sampled["escalations"] == [{
+            "q": 127, "method": "backtracking", "slope": {"num": "4859", "den": "2689"},
+            "slope_approx": 4859 / 2689,
+        }]
+
+    def test_escalations_run_out_off_target(self, monkeypatch):
+        # every cover misses a target moved to 1
+        solve = density.solve_family_aprime
+        monkeypatch.setattr(density, "solve_family_aprime",
+                            lambda *args, **kw: replace(solve(*args, **kw), target=Fraction(1)))
+        result = run_pipeline(Fraction(2), Fraction(3, 20), family="APRIME", seed=0)
+        assert result.status == "off_target"
+        sampled = result.report["sampled"]
+        steps = sampled["escalations"]
+        assert [step["q"] for step in steps] == [127, 257, 521, 1049, 2099, 4201]
+        assert sampled["q"] == 4201 and sampled["slope"] == steps[-1]["slope"]
+        assert all(abs(step["slope"] - 1) >= Fraction(3, 20) for step in steps)

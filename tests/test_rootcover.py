@@ -1,9 +1,12 @@
 """Degree-q cover invariants from a branch multiplicity assignment."""
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from chernslope import rootcover
 from chernslope.geometry import ArrangementParams, Family, build_resolution, log_chern_pair
 from chernslope.numtheory import DomainError, c_value, hj_length
 from chernslope.pipeline import find_assignment
@@ -127,6 +130,24 @@ class TestCoverInvariants:
         assert (inv.c1sq + inv.c2) % 12 == 0
         assert inv.chi == (inv.c1sq + inv.c2) // 12
         assert inv.chi.denominator == 1
+
+    def test_corrupt_node_correction_trips_the_chi_check(self, monkeypatch, small_config,
+                                                         hand_assignment):
+        # raise one residue's Dedekind sum by 1/12: c1^2 drops by that
+        # residue's node count, which is not a multiple of 12
+        counts = Counter()
+        for node, a in hand_assignment.residues(small_config):
+            counts[a] += node[2]
+        bad_a = next(a for a, n in counts.items() if n % 12)
+        real = rootcover.dedekind_data
+
+        def corrupted(q, a):
+            data = real(q, a)
+            return replace(data, s=data.s + Fraction(1, 12)) if a == bad_a else data
+
+        monkeypatch.setattr(rootcover, "dedekind_data", corrupted)
+        with pytest.raises(RuntimeError, match="divisible by 12"):
+            chern_of_cover(small_config, hand_assignment)
 
     def test_slope_consistent(self, small_config, hand_assignment):
         inv = chern_of_cover(small_config, hand_assignment)
