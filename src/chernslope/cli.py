@@ -150,15 +150,15 @@ def _cmd_arrangement(args) -> int:
 
 def _cmd_search(args) -> int:
     config = build_resolution(_params_from_args(args))
-    result, tries, method = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
+    result, draws, method = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
     if isinstance(result, NotFound):
         fewest_bad, worst_node = sampler_diagnostics(
             PartitionProblem(config, args.q), args.seed, args.max_tries)
-        _emit({"status": "not_found", "tries": tries, "zero_hits": result.zero_hits,
+        _emit({"status": "not_found", "tries": draws, "zero_hits": result.zero_hits,
                "fewest_bad": fewest_bad,
                "worst_node": list(worst_node) if worst_node else None})
         return EXIT_NOT_FOUND
-    _emit({"status": "ok", "q": result.q, "tries": tries, "method": method,
+    _emit({"status": "ok", "q": result.q, "tries": draws, "method": method,
            "nus": dict(result.nus)})
     return EXIT_OK
 
@@ -170,15 +170,15 @@ def _cmd_cover(args) -> int:
         base = _read_base(args.base_file)
         assign = BranchAssignment.from_base(config, args.q, base)
         check_base(config, args.q, base)
-        tries = 0
+        draws = 0
     else:
-        result, tries, _ = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
+        result, draws, _ = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
         if isinstance(result, NotFound):
             _emit({"status": "not_found", "tries": result.tries})
             return EXIT_NOT_FOUND
         assign = result
     cover = chern_of_cover(config, assign)
-    out = {"status": "ok", "q": args.q, "tries": tries, **pipeline.cover_fields(cover)}
+    out = {"status": "ok", "q": args.q, "tries": draws, **pipeline.cover_fields(cover)}
     if args.singularities:
         out["singularities"] = [
             {"node": list(s.node), "a": s.a, "l": s.l, "c": s.c, "digits": list(s.hj_digits)}
@@ -243,14 +243,14 @@ def _cmd_nef(args) -> int:
 def _sweep_row(task) -> dict:
     """One CSV row; `task` is (config, limit slope, q, seed, max_tries)."""
     config, limit, q, seed, max_tries = task
-    result, tries, _ = pipeline.find_assignment(config, q, seed, max_tries)
+    result, draws, _ = pipeline.find_assignment(config, q, seed, max_tries)
     if isinstance(result, NotFound):
         # the writer leaves the cover's columns empty
-        return {"q": q, "seed": seed, "status": "not_found", "tries": tries,
+        return {"q": q, "seed": seed, "status": "not_found", "tries": draws,
                 "limit_slope_approx": float(limit)}
     cover = chern_of_cover(config, result)
     return {
-        "q": q, "seed": seed, "status": "ok", "tries": tries,
+        "q": q, "seed": seed, "status": "ok", "tries": draws,
         "c1sq": str(cover.c1sq), "c2": str(cover.c2), "chi": str(cover.chi),
         "slope_approx": float(cover.slope),
         "limit_slope_approx": float(limit),

@@ -83,9 +83,8 @@ class SolvedParams:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _family_a_fraction(p: int, r: int, e: int, d: int, g: int, u: int, w: int) -> Fraction:
-    """limit slope - 2 of the family A parameters, in closed form."""
-    params = ArrangementParams(Family.A, p=p, r=r, e=e, d=d, g=g, u=u, w=w)
+def _offset(params: ArrangementParams) -> Fraction:
+    """The slope offset limit slope - 2 of either family, in closed form."""
     return limit_slope(params) - 2
 
 
@@ -115,13 +114,13 @@ def solve_family_a(
     bridge = Fraction((d - 1) * (d - 2) - 2 * u, u * (u - 1) + 2 * u * d)
     best = None
     for r in range(1, R_CAP + 1):
-        frac = _family_a_fraction(p, r, e, d, g, u, w)
+        params = ArrangementParams(Family.A, p=p, r=r, e=e, d=d, g=g, u=u, w=w)
+        frac = _offset(params)
         if best is None or abs(frac - alpha_t) < abs(best[1] - alpha_t):
-            best = (r, frac)
+            best = (params, frac)
         if abs(frac - bridge) < eps_t / 5:
             break
-    r, frac = best
-    params = ArrangementParams(Family.A, p=p, r=r, e=e, d=d, g=g, u=u, w=w)
+    params, frac = best
     achieved = 2 + frac
     error = abs(achieved - x)
     diagnostics = {
@@ -138,13 +137,6 @@ def solve_family_a(
     }
     status = "ok" if error < eps else "cap_hit"
     return SolvedParams(x, eps, params, achieved, error, status, diagnostics)
-
-
-def _aprime_fraction(p: int, r: int, e: int, l: int) -> Fraction:
-    m = p**r
-    num = m * l * e * (2 * l - 5)
-    den = (2 * l - 2) * (e * l * (2 * l - 1) - 2) + l * e * m
-    return Fraction(num, den)
 
 
 def solve_family_aprime(
@@ -183,8 +175,11 @@ def solve_family_aprime(
             raise DomainError(f"l_cap must exceed 3, got {l_cap}")
         bound = alpha + eps
 
+        def offset(l: int) -> Fraction:
+            return _offset(ArrangementParams(Family.APRIME, p=p, r=1, e=1, d=2 * l))
+
         def passes(l: int) -> bool:
-            return _aprime_fraction(p, 1, 1, l) < bound
+            return offset(l) < bound
 
         last = l_cap - 1
         if passes(3):
@@ -193,7 +188,7 @@ def solve_family_aprime(
             # nothing passes below l_cap: every err is f(l) - alpha, least
             # at an end of the unimodal range (the first on a tie)
             l, status = last, "cap_hit"
-            if _aprime_fraction(p, 1, 1, 3) <= _aprime_fraction(p, 1, 1, last):
+            if offset(3) <= offset(last):
                 l = 3
         else:
             lo, hi = 3, 4
@@ -206,8 +201,8 @@ def solve_family_aprime(
                 else:
                     lo = mid
             l, status = hi, "ok"
-        frac = _aprime_fraction(p, 1, 1, l)
         params = ArrangementParams(Family.APRIME, p=p, r=1, e=1, d=2 * l)
+        frac = _offset(params)
         return SolvedParams(x, eps, params, 2 + frac, abs(frac - alpha), status,
                             {"route": "small-offset scan", "l": l})
 
@@ -224,7 +219,7 @@ def solve_family_aprime(
             raise DomainError("prime-power window never closed")
     mid_target = Fraction(pz, 2 * n)
 
-    chosen_y = None
+    # mid is the e -> oo limit of the offset at (l, r)
     for y in range(0, Y_CAP + 1):
         l = n * p**y
         if l < 3:
@@ -233,23 +228,18 @@ def solve_family_aprime(
         m = p**r
         mid = Fraction(m * (2 * l - 5), 4 * l * l - 6 * l + 2 + m)
         if abs(mid - mid_target) < eps / 3:
-            chosen_y = (y, l, r, mid)
             break
-    if chosen_y is None:
+    else:
         return SolvedParams(x, eps, None, None, None, "cap_hit", {"route": "ladder", "stage": "y"})
-    y, l, r, mid = chosen_y
 
-    chosen_e = None
     for e in range(1, E_CAP + 1):
-        frac = _aprime_fraction(p, r, e, l)
+        params = ArrangementParams(Family.APRIME, p=p, r=r, e=e, d=2 * l)
+        frac = _offset(params)
         if abs(frac - mid) < eps / 3:
-            chosen_e = (e, frac)
             break
-    if chosen_e is None:
+    else:
         return SolvedParams(x, eps, None, None, None, "cap_hit", {"route": "ladder", "stage": "e"})
-    e, frac = chosen_e
 
-    params = ArrangementParams(Family.APRIME, p=p, r=r, e=e, d=2 * l)
     achieved = 2 + frac
     error = abs(achieved - x)
     diagnostics = {

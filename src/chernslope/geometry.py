@@ -121,7 +121,6 @@ class Tangency:
     sections: tuple[str, str]
     fiber: str
     chain: tuple[str, ...]
-    paired: bool  # APRIME: tangency of a section pair sharing one ruling class
 
 
 @dataclass(frozen=True)
@@ -223,10 +222,10 @@ def build_resolution(params: ArrangementParams) -> ResolvedConfiguration:
             for hid in h_ids:
                 nodes.append((fid, hid, 1))
             touching(fid)
-            paired = params.family is Family.APRIME and i % 2 == 1 and j == i + 1
-            if paired:
+            # APRIME pairs S_{2i-1}, S_{2i} share one ruling class
+            if params.family is Family.APRIME and i % 2 == 1 and j == i + 1:
                 exempt.update(links)
-            tangs.append(Tangency((sa, sb), fid, chain, paired))
+            tangs.append(Tangency((sa, sb), fid, chain))
     assert t == params.delta
 
     for a_idx, hid in enumerate(h_ids):

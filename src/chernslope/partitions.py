@@ -25,7 +25,7 @@ from itertools import islice
 from .badset import good_residues, good_table  # noqa: F401
 from .geometry import Family, ResolvedConfiguration
 from .numtheory import DomainError, is_prime
-from .rootcover import BranchAssignment, InvalidAssignmentError, NegatedInverses
+from .rootcover import BranchAssignment, InvalidAssignmentError
 
 
 def min_feasible_q(params) -> int:
@@ -50,12 +50,11 @@ class PartitionProblem:
 
 @dataclass(frozen=True)
 class NotFound:
-    """Returned (not raised) when no good assignment shows up in time."""
+    """Returned (not raised) when no good assignment shows up in time. How
+    close the sampler's draws came is `sampler_diagnostics`' to say."""
 
     tries: int
-    zero_hits: int         # draws rejected for a multiplicity collapsing mod q
-    fewest_bad: int | None  # best (smallest) number of offending nodes seen
-    worst_node: tuple[str, str, int] | None  # an offending node from the best draw
+    zero_hits: int  # draws rejected for a multiplicity collapsing mod q
 
 
 def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
@@ -99,17 +98,28 @@ def _draw_base(problem: PartitionProblem, rng: random.Random) -> dict[str, int]:
 
 
 def check_base(config: ResolvedConfiguration, q: int, base: dict[str, int]) -> None:
-    """Raise InvalidAssignmentError unless an A0/A base keeps the linear
-    equivalences `_draw_base` builds in: mod q, all sections sum to 0, and
-    e*p^r times S1..Sd, H1..Hu plus all fibers sum to 0. An APRIME base is
-    not checked."""
+    """Raise InvalidAssignmentError unless the base divisor's class
+    x*C0 + y*F on the ruled surface is divisible by q: mod q, x and y vanish.
+
+    A0/A: S1..Sd and H1..Hu lie in C0 + e*p^r*F and S_{d+1} in C0. APRIME:
+    all sections share one class C0 + b*F, so once each pair S_{2i-1}, S_{2i}
+    sums to 0 (which gives the pair's tangencies their full-turn residues),
+    only the fibers must sum to 0; the pairs' first sections, which
+    `_draw_base` sums to q, need not.
+    """
     params = config.params
+    sec_ids = config.section_ids
+    fibers = sum(base[f] for f in config.fiber_ids)
     if params.family is Family.APRIME:
-        return
-    *x_ids, neg = config.section_ids
-    x_total = sum(base[c] for c in x_ids)
-    weighted = params.e * params.chain_length * x_total + sum(base[f] for f in config.fiber_ids)
-    if (x_total + base[neg]) % q or weighted % q:
+        for a, b in zip(sec_ids[0::2], sec_ids[1::2]):
+            if (base[a] + base[b]) % q:
+                raise InvalidAssignmentError(f"the APRIME pair {a}, {b} does not sum to 0 mod {q}")
+        broken = fibers % q
+    else:
+        x_total = sum(base[c] for c in sec_ids[:-1])
+        broken = (x_total + base[sec_ids[-1]]) % q or (
+            params.e * params.chain_length * x_total + fibers) % q
+    if broken:
         raise InvalidAssignmentError(f"the multiplicities break linear equivalence mod {q}")
 
 
@@ -147,7 +157,6 @@ def _draws(
     `residue_rule`, in node order and computed as they are consumed."""
     allowed = residue_rule(problem.config, problem.q)
     tables = [allowed(node) for node in problem.config.nodes]
-    neg_inv = NegatedInverses(problem.q)
     for t in range(max_tries):
         base = _draw_base(problem, random.Random(f"{seed}:{t}"))
         try:
@@ -155,7 +164,7 @@ def _draws(
         except InvalidAssignmentError:
             yield None
             continue
-        residues = assign.residues(problem.config, neg_inv)
+        residues = assign.residues(problem.config)
         yield assign, (node for (node, a), table in zip(residues, tables) if not table[a])
 
 
@@ -165,16 +174,15 @@ def sample_with_stats(
     """Seeded rejection sampling: returns (the first draw that obeys
     `residue_rule`, draws used), or (NotFound, max_tries).
 
-    A draw is dropped at its first bad node, so the NotFound carries no
-    fewest_bad or worst_node; `sampler_diagnostics` replays the same draws
-    for the reports that print them."""
+    A draw is dropped at its first bad node; `sampler_diagnostics` replays
+    the same draws for the reports that say how close they came."""
     zero_hits = 0
     for t, draw in enumerate(_draws(problem, seed, max_tries), start=1):
         if draw is None:
             zero_hits += 1
         elif next(draw[1], None) is None:
             return draw[0], t
-    return NotFound(tries=max_tries, zero_hits=zero_hits, fewest_bad=None, worst_node=None), max_tries
+    return NotFound(tries=max_tries, zero_hits=zero_hits), max_tries
 
 
 def sampler_diagnostics(
@@ -530,4 +538,4 @@ def search_assignment(
     if ys is not None:
         nu.update(ys)
         return BranchAssignment.from_base(cfg, q, dict(nu))
-    return NotFound(tries=attempts, zero_hits=0, fewest_bad=None, worst_node=None)
+    return NotFound(tries=attempts, zero_hits=0)

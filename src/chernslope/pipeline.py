@@ -10,12 +10,13 @@ the report.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from . import density
 from .geometry import Family, ResolvedConfiguration, build_resolution, component_count, node_count
 from .nefcheck import closed_entries, _t_value
-from .numtheory import next_prime
+from .numtheory import DomainError, next_prime
 from .partitions import (
     NotFound,
     PartitionProblem,
@@ -37,24 +38,23 @@ def find_assignment(
 ) -> tuple[BranchAssignment | NotFound, int, str | None]:
     """Rejection sampling, then the deterministic backtracking search, at q.
 
-    Returns (result, tries, method): `tries` counts the sampler's draws and
+    Returns (result, draws, method): `draws` counts the sampler's draws and
     `method` is "rejection", "backtracking" or None. On failure the NotFound
     carries the search's attempt count as `tries` and the sampler's
-    zero_hits; its fewest_bad and worst_node are None, since the sampler
-    drops each draw at its first bad node. A report that prints them gets
-    them from `sampler_diagnostics`.
+    zero_hits; a report that says how close the draws came gets that from
+    `sampler_diagnostics`.
     """
     problem = PartitionProblem(config, q)
-    sampled, tries = sample_with_stats(problem, seed=seed, max_tries=max_tries)
+    sampled, draws = sample_with_stats(problem, seed=seed, max_tries=max_tries)
     if not isinstance(sampled, NotFound):
-        return sampled, tries, "rejection"
+        return sampled, draws, "rejection"
     found = search_assignment(problem, seed=seed)
     if isinstance(found, NotFound):
-        return replace(sampled, tries=found.tries), tries, None
+        return replace(sampled, tries=found.tries), draws, None
     # a sampler hit has passed the residue rule already; the search's has not
     if not verify_asymptotic(config, found).ok:
         raise RuntimeError(f"backtracking search returned a bad assignment at q = {q}")
-    return found, tries, "backtracking"
+    return found, draws, "backtracking"
 
 
 def cover_fields(cover: CoverInvariants) -> dict:
@@ -95,6 +95,11 @@ def run_pipeline(
     max_tries: int = 200,
 ) -> PipelineResult:
     family = Family(family)
+    target, epsilon = density.as_fraction(target), density.as_fraction(epsilon)
+    # the report's *_approx fields are floats, and a limit slope within
+    # epsilon of the target stays below target + epsilon
+    if target + epsilon > sys.float_info.max:
+        raise DomainError("target + epsilon is beyond float range")
     if family is Family.APRIME:
         solved = density.solve_family_aprime(target, epsilon, p=p)
     else:
@@ -142,24 +147,22 @@ def run_pipeline(
     config = build_resolution(params)
     # Rejection sampling needs q well above the node count, so start the
     # prime search there; if neither the sampler nor the deterministic
-    # backtracking search lands an assignment, double q and retry.
-    if q_hint is not None:
-        q = q_hint
-    else:
-        q = next_prime(max(17, min_feasible_q(params), t2))
-    while q == p:
-        q = next_prime(q + 1)
-
-    # A cover whose slope misses the target by epsilon or more escalates
-    # like a failed search.
+    # backtracking search lands an assignment, double q and retry. A cover
+    # whose slope misses the target by epsilon or more escalates like a
+    # failed search. A pinned q is tried alone.
+    q = q_hint if q_hint is not None else next_prime(max(17, min_feasible_q(params), t2))
     attempts_log: list[dict] = []
-    for _escalation in range(6):
-        result, tries, method = find_assignment(config, q, seed, max_tries)
+    for escalation in range(1 if q_hint is not None else 6):
+        if escalation:
+            q = next_prime(2 * q)
+        while q == p:
+            q = next_prime(q + 1)
+        result, draws, method = find_assignment(config, q, seed, max_tries)
         if method is None:
             status = "not_found"
             attempts_log.append({
                 "q": q,
-                "rejection_tries": tries,
+                "rejection_tries": draws,
                 "search_attempts": result.tries,
             })
         else:
@@ -174,17 +177,9 @@ def run_pipeline(
                 "slope": cover.slope,
                 "slope_approx": float(cover.slope),
             })
-        if q_hint is not None:
-            break  # the caller pinned q; report the failure there
-        q = next_prime(2 * q)
-        while q == p:
-            q = next_prime(q + 1)
     report["status"] = status
     if status == "not_found":
-        # the diagnostics are the last tried q's, although the report names
-        # the next prime once the escalations run out
-        problem = PartitionProblem(config, attempts_log[-1]["q"])
-        fewest_bad, worst_node = sampler_diagnostics(problem, seed, max_tries)
+        fewest_bad, worst_node = sampler_diagnostics(PartitionProblem(config, q), seed, max_tries)
         report["sampled"] = {
             "q": q,
             "tries": result.tries,
@@ -195,13 +190,12 @@ def run_pipeline(
         }
         return PipelineResult(report)
 
-    q = cover.q
     limit = solved.achieved_limit
     nef = closed_entries(params, q)
     report["sampled"] = {
         "q": q,
         "method": method,
-        "tries": tries,
+        "tries": draws,
         **cover_fields(cover),
         "slope_vs_limit_approx": abs(float(cover.slope) - float(limit)),
         "nef": {

@@ -89,21 +89,15 @@ class BranchAssignment:
                 nus[gid] = nu
         return cls(q=q, nus=nus)
 
-    def residues(
-        self, config: ResolvedConfiguration, neg_inv: NegatedInverses | None = None
-    ) -> Iterator[tuple[tuple[str, str, int], int]]:
+    def residues(self, config: ResolvedConfiguration) -> Iterator[tuple[tuple[str, str, int], int]]:
         """(node, residue) for every node of the configuration, in node
         order and computed as the iterator is consumed; each equals
         `node_residue` at its node: the residue of a node (i, j) is
-        nu_j * (q - nu_i^-1) mod q. `neg_inv` memoises q - nu^-1 by
-        multiplicity; pass one to share it between assignments at one q."""
+        nu_j * (q - nu_i^-1) mod q, with q - nu^-1 memoised by multiplicity."""
         q = self.q
         if not is_prime(q):
             raise DomainError(f"q must be prime, got {q}")
-        if neg_inv is None:
-            neg_inv = NegatedInverses(q)
-        elif neg_inv.q != q:
-            raise ValueError(f"inverses mod {neg_inv.q} used at q = {q}")
+        neg_inv = NegatedInverses(q)
         nus = self.nus
         return ((node, nus[node[1]] * neg_inv[nus[node[0]]] % q) for node in config.nodes)
 

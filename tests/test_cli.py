@@ -1,4 +1,5 @@
 """Command-line interface: JSON/CSV output, exit codes, config files."""
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chernslope import cli
 
 CLI = [sys.executable, "-m", "chernslope.cli"]
 
@@ -162,6 +167,7 @@ class TestInvalidInputExits2:
         ("badset", "--q", "17", "--C", "1/0"),
         ("slope", "--target", "1/0"),
         ("nef", "--d", "3"),
+        ("slope", "--target", "0.3e400"),  # beyond the float range of `target_approx`
     ])
     def test_one_error_line(self, args):
         proc = run_cli(*args)
@@ -187,12 +193,46 @@ class TestInvalidInputExits2:
         assert proc.returncode == 2
         assert proc.stderr == "error: the multiplicities break linear equivalence mod 17\n"
 
+    def test_aprime_base_file_with_unpaired_sections(self, tmp_path):
+        # every multiplicity 1: no pair sums to 0 mod q, and chi would not be an integer
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({cid: 1 for cid in ("S1", "S2", "S3", "S4", "F1", "F2",
+                                                       "F3", "F4", "F5", "F6")}))
+        proc = run_cli("cover", "--family", "APRIME", "--d", "4", "--q", "17",
+                       "--base-file", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the APRIME pair S1, S2 does not sum to 0 mod 17\n"
+
     # S9 does not exist; G1.1 is a chain curve, whose multiplicity is derived
     @pytest.mark.parametrize("extra", ["S9", "G1.1"])
     def test_base_file_key_naming_no_base_component(self, tmp_path, extra):
         proc = cover_from_base(tmp_path, {**GOOD_BASE, extra: 5})
         assert proc.returncode == 2
         assert proc.stderr == f"error: {extra} is not a base component\n"
+
+
+# rational option values as `_fraction` reads them: integers, decimals,
+# exponent forms (often near or past the float range) and fractions, of
+# either sign
+_digits = st.integers(0, 10**6).map(str)
+_signed = st.builds(lambda sign, text: sign + text, st.sampled_from(["", "-"]), _digits)
+_decimal = st.builds(lambda i, f: f"{i}.{f}", _signed, _digits)
+_exponent = st.builds(lambda m, e: f"{m}e{e}", _signed | _decimal,
+                      st.integers(-400, 400) | st.integers(300, 400))
+_number = _signed | _decimal | _exponent | st.builds(lambda n, d: f"{n}/{d}", _signed, _digits)
+
+
+class TestSlopeTargets:
+    @given(_number, _number, st.sampled_from(["A", "APRIME"]))
+    @example("0.3e400", "1/100", "A")
+    @settings(max_examples=200, deadline=None)
+    def test_any_target_and_eps_exit_cleanly(self, target, eps, family):
+        # in process, so an escaping exception fails the test; `--target=`
+        # keeps a leading minus sign from reading as an option
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["slope", f"--target={target}", f"--eps={eps}",
+                             "--family", family, "--no-sample"])
+        assert code in (0, 2, 3)
 
 
 class TestClosedStdout:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from chernslope.density import (
-    _aprime_fraction,
     find_uv,
     lambda_fn,
     solve_family_a,
@@ -67,13 +66,22 @@ class TestDispatcher:
             solve_family_a(Fraction(3, 2), EPS)
 
 
+def aprime_offset(p, l):
+    """The slope offset of APRIME (p, r = 1, e = 1, d = 2l), restated from
+    the closed form c1bar^2 / (c2bar + l*e*p^r) - 2 as an oracle: the
+    reference walk visits up to ~2.5e5 values of l, and this is five times
+    cheaper than `limit_slope`. `assert_matches_scan` checks it against
+    `limit_slope` at the l the solver returns."""
+    return Fraction(p * l * (2 * l - 5), (2 * l - 2) * (l * (2 * l - 1) - 2) + l * p)
+
+
 def small_offset_scan(target, eps, p, l_cap):
     """The small-offset route as a plain walk over l (reference):
     (l, offset, err, status)."""
     alpha = target - 2
     best = None
     for l in range(3, l_cap):
-        frac = _aprime_fraction(p, 1, 1, l)
+        frac = aprime_offset(p, l)
         err = abs(frac - alpha)
         if best is None or err < best[2]:
             best = (l, frac, err)
@@ -105,7 +113,7 @@ class TestSmallOffsetRoute:
 
     def test_offset_rising_before_it_falls(self):
         # at p = 101 the offset grows from l = 3 up to l = 8 before it decays
-        assert _aprime_fraction(101, 1, 1, 3) < _aprime_fraction(101, 1, 1, 7)
+        assert aprime_offset(101, 3) < aprime_offset(101, 7)
         for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
             assert_matches_scan(Fraction(2), eps, 101)
 

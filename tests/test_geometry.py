@@ -129,12 +129,18 @@ class TestStructure:
             assert met == ({fiber} if fiber else set())
 
     def test_paired_flags(self):
+        # a tangency of a pair S_{2i-1}, S_{2i} has all its chain links exempt,
+        # any other tangency none of them
         config = build_resolution(ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=4))
-        assert any(t.paired for t in config.tangencies)
+        exempt = set()
         for t in config.tangencies:
+            links = {(t.fiber, t.chain[0], 1), *zip(t.chain, t.chain[1:], [1] * len(t.chain))}
             s1, s2 = (int(s[1:]) for s in t.sections)
-            expected = (min(s1, s2) % 2 == 1) and (abs(s1 - s2) == 1)
-            assert t.paired == expected
+            if (min(s1, s2) % 2 == 1) and (abs(s1 - s2) == 1):
+                exempt |= links
+            else:
+                assert not links & config.exempt_nodes
+        assert exempt and config.exempt_nodes == exempt
 
 
 class TestValidation:

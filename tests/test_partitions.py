@@ -1,14 +1,16 @@
 """Randomized and backtracking searches for good branch assignments."""
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chernslope import cli, partitions, pipeline
 from chernslope.badset import good_table
@@ -23,7 +25,7 @@ from chernslope.partitions import (
     search_assignment,
     verify_asymptotic,
 )
-from chernslope.rootcover import BranchAssignment, InvalidAssignmentError
+from chernslope.rootcover import BranchAssignment, InvalidAssignmentError, chern_of_cover
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +123,8 @@ class TestRejectionSampler:
         result, tries = sample_with_stats(problem, seed=0, max_tries=50)
         assert isinstance(result, NotFound)
         assert tries == 50
-        assert result.fewest_bad is None or result.fewest_bad >= 1
+        fewest_bad, _ = sampler_diagnostics(problem, 0, 50)
+        assert fewest_bad is None or fewest_bad >= 1
 
     def test_retry_rate_improves_with_q(self, family_a_config):
         # the bad/all draw ratio tends to zero: tries per success shrink in
@@ -145,8 +148,10 @@ class TestRejectionSampler:
 
 
 def replay_sampler(problem, seed, max_tries):
-    """`sample_with_stats` without its early stop: every draw's bad nodes
-    counted in full through `verify_asymptotic` (reference)."""
+    """`sample_with_stats` and `sampler_diagnostics` in one pass without the
+    early stop: every draw's bad nodes counted in full through
+    `verify_asymptotic` (reference). Returns (result, draws, fewest_bad,
+    worst_node)."""
     zero_hits, fewest_bad, worst_node = 0, None, None
     for t in range(max_tries):
         base = partitions._draw_base(problem, random.Random(f"{seed}:{t}"))
@@ -157,10 +162,10 @@ def replay_sampler(problem, seed, max_tries):
             continue
         bad = verify_asymptotic(problem.config, assign).bad_nodes
         if not bad:
-            return assign, t + 1
+            return assign, t + 1, fewest_bad, worst_node
         if fewest_bad is None or len(bad) < fewest_bad:
             fewest_bad, worst_node = len(bad), bad[0][0]
-    return NotFound(max_tries, zero_hits, fewest_bad, worst_node), max_tries
+    return NotFound(max_tries, zero_hits), max_tries, fewest_bad, worst_node
 
 
 class TestCheckBase:
@@ -175,10 +180,37 @@ class TestCheckBase:
         for t in range(40):
             base = partitions._draw_base(problem, random.Random(f"0:{t}"))
             partitions.check_base(problem.config, q, base)
-            if params.family is not Family.APRIME:
-                for cid in (problem.config.section_ids[0], problem.config.fiber_ids[-1]):
-                    with pytest.raises(InvalidAssignmentError):
-                        partitions.check_base(problem.config, q, {**base, cid: base[cid] + 1})
+            for cid in (problem.config.section_ids[0], problem.config.fiber_ids[-1]):
+                with pytest.raises(InvalidAssignmentError):
+                    partitions.check_base(problem.config, q, {**base, cid: base[cid] + 1})
+
+    @given(st.sampled_from([17, 31, 101]), st.sampled_from([4, 6]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_aprime_bases_passing_have_integral_chi(self, q, d, data):
+        # every base check_base accepts: pairs (a, -a) and fibers summing to
+        # 0 mod q, with any pair leaders and any other fibers
+        config = aprime_config(d)
+        sec_ids, fiber_ids = config.section_ids, config.fiber_ids
+        residue = st.integers(1, q - 1)
+        base = {}
+        for a, b in zip(sec_ids[0::2], sec_ids[1::2]):
+            base[a] = data.draw(residue)
+            base[b] = q - base[a]
+        base.update((f, data.draw(residue)) for f in fiber_ids[:-1])
+        base[fiber_ids[-1]] = -sum(base[f] for f in fiber_ids[:-1]) % q
+        assume(base[fiber_ids[-1]])
+        partitions.check_base(config, q, base)
+        try:
+            assign = BranchAssignment.from_base(config, q, base)
+        except InvalidAssignmentError:
+            assume(False)  # a chain multiplicity is 0 mod q: `cover` exits 2
+        # chern_of_cover raises unless c1^2 + c2 is divisible by 12
+        assert chern_of_cover(config, assign).chi.denominator == 1
+
+
+@functools.cache
+def aprime_config(d):
+    return build_resolution(ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=d))
 
 
 def run_main(argv):
@@ -190,7 +222,7 @@ def run_main(argv):
 
 def give_up(problem, seed):
     """A backtracking search that always fails, so reports end not_found."""
-    return NotFound(tries=7, zero_hits=0, fewest_bad=None, worst_node=None)
+    return NotFound(tries=7, zero_hits=0)
 
 
 def count_calls(monkeypatch, name, modules):
@@ -227,11 +259,9 @@ class TestSamplerEarlyStop:
         # pass restores what a full count of every draw reports
         problem = PartitionProblem(request.getfixturevalue(config_name), q)
         result, tries = sample_with_stats(problem, seed=seed, max_tries=200)
-        assert result.fewest_bad is None and result.worst_node is None
         fewest_bad, worst_node = sampler_diagnostics(problem, seed, 200)
         assert fewest_bad is not None
-        full = replace(result, fewest_bad=fewest_bad, worst_node=worst_node)
-        assert (full, tries) == replay_sampler(problem, seed, 200)
+        assert (result, tries, fewest_bad, worst_node) == replay_sampler(problem, seed, 200)
 
     @pytest.mark.parametrize("config_name, q", CASES)
     @pytest.mark.parametrize("seed", [0, 2])
@@ -242,10 +272,10 @@ class TestSamplerEarlyStop:
                                  "--seed", str(seed), "--max-tries", "60"])
         assert code == 3
         problem = PartitionProblem(request.getfixturevalue(config_name), q)
-        full, tries = replay_sampler(problem, seed, 60)
+        full, tries, fewest_bad, worst_node = replay_sampler(problem, seed, 60)
         assert json.loads(stdout) == {
             "status": "not_found", "tries": tries, "zero_hits": full.zero_hits,
-            "fewest_bad": full.fewest_bad, "worst_node": list(full.worst_node),
+            "fewest_bad": fewest_bad, "worst_node": list(worst_node),
         }
 
     @pytest.mark.parametrize("max_tries", [5, 40])
@@ -260,9 +290,12 @@ class TestSamplerEarlyStop:
         sampled = result.report["sampled"]
         assert result.status == "not_found" and len(sampled["escalations"]) == 6
         last_q = sampled["escalations"][-1]["q"]
-        full, _ = replay_sampler(PartitionProblem(paired_config, last_q), 0, max_tries)
+        # the report names the q its tries and diagnostics belong to
+        assert sampled["q"] == last_q == 4201
+        full, _, fewest_bad, worst_node = replay_sampler(
+            PartitionProblem(paired_config, last_q), 0, max_tries)
         assert (sampled["zero_hits"], sampled["fewest_bad"], sampled["worst_node"]) == (
-            full.zero_hits, full.fewest_bad, list(full.worst_node))
+            full.zero_hits, fewest_bad, list(worst_node))
         assert diagnosed == [(last_q, (0, max_tries))]
 
     def test_no_diagnostics_unless_printed(self, monkeypatch):
@@ -372,7 +405,7 @@ class TestBacktrackingSearch:
 
         monkeypatch.setattr(partitions, "random", SimpleNamespace(Random=Recording))
         result = search_assignment(PartitionProblem(family_a_d4_config, 41), seed=0)
-        assert result == NotFound(tries=72552, zero_hits=0, fewest_bad=None, worst_node=None)
+        assert result == NotFound(tries=72552, zero_hits=0)
         assert made == ["search:0:0"]
 
     @pytest.mark.parametrize("node_budget, tries", [
