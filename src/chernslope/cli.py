@@ -16,24 +16,17 @@ import os
 import sys
 from fractions import Fraction
 
-from . import density, nefcheck, pipeline, prank
+from . import nefcheck, pipeline, prank
 from .badset import bad_set, verify_bounds
-from .geometry import (
-    ArrangementParams,
-    DegenerateParameterError,
-    Family,
-    build_resolution,
-    log_chern_closed,
-    log_chern_pair,
-)
-from .numtheory import DomainError, dedekind_data, is_prime, primes_between
+from .geometry import ArrangementParams, Family, build_resolution, log_chern_closed, log_chern_pair
+from .numtheory import dedekind_data, is_prime, primes_between
 from .partitions import NotFound, PartitionProblem, check_base, sampler_diagnostics
 # cli never calls these itself (`pipeline.find_assignment` does), but the
 # capture and tracing hooks in perfbench/ look them up on this module with
 # getattr, so they stay importable from it.
 from .partitions import sample_with_stats, search_assignment  # noqa: F401
-from .rootcover import BranchAssignment, InvalidAssignmentError, chern_of_cover
-from .serialize import canonical_json, jsonable
+from .rootcover import BranchAssignment, chern_of_cover
+from .serialize import canonical_json
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -288,8 +281,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, which `main` prints as one line;
+    `add_subparsers` builds the subcommands' parsers from this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chernslope",
         description="Exact invariants of cyclic branched covers: continued "
                     "fractions, residue classes, slopes, and search reports.",
@@ -439,8 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         # the flush at exit stays quiet, and exit 1 as Python does on EPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DomainError, DegenerateParameterError, InvalidAssignmentError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # bad input, the library's errors included
         _log(f"error: {exc}")
         return EXIT_INVALID
 

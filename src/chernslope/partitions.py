@@ -4,9 +4,9 @@ The multiplicity data of a degree-q cover is a solution of a weighted
 composition problem (families A0/A: e*p^r per section unknown plus 1 per
 fiber unknown summing to q; APRIME: a length-l partition of q for the
 paired sections and a length-delta one for the fibers). `residue_rule`
-says which residues each node may carry: the good set, except at the
-structurally exempt full-turn nodes of APRIME's paired tangencies, which
-must carry q - 1. `sample_with_stats` draws uniform compositions of the
+says which residues each node may carry, as a small set: all but 0 and the
+bad set F, except at the structurally exempt full-turn nodes of APRIME's
+paired tangencies, which must carry q - 1. `sample_with_stats` draws uniform compositions of the
 residual after assigning 1 everywhere and keeps a draw that obeys the rule
 (`sampler_diagnostics` replays a failed run's draws for the reports that
 say how close they came); `search_assignment` is the deterministic
@@ -20,9 +20,10 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
-# `good_residues` stays importable here: perfbench/'s tracer hooks the name on
-# this module (tests/test_bench_sites.py checks that every hooked name resolves).
-from .badset import good_residues, good_table  # noqa: F401
+# perfbench/'s tracer hooks `badset.bad_set`, which is called through its module,
+# and `good_residues` here (tests/test_bench_sites.py checks that both resolve).
+from . import badset
+from .badset import good_residues  # noqa: F401
 from .geometry import Family, ResolvedConfiguration
 from .numtheory import DomainError, is_prime
 from .rootcover import BranchAssignment, InvalidAssignmentError
@@ -123,16 +124,17 @@ def check_base(config: ResolvedConfiguration, q: int, base: dict[str, int]) -> N
         raise InvalidAssignmentError(f"the multiplicities break linear equivalence mod {q}")
 
 
-def residue_rule(
-    config: ResolvedConfiguration, q: int
-) -> Callable[[tuple[str, str, int]], bytes]:
+Rule = tuple[bool, frozenset[int]]
+
+
+def residue_rule(config: ResolvedConfiguration, q: int) -> Callable[[tuple[str, str, int]], Rule]:
     """The residues each node may carry at q, as a function of the node
-    returning a q-byte table (byte a is 1 when a is allowed): only the full
-    turn q - 1 at an exempt node, the good set elsewhere."""
-    good = good_table(q, 1)
-    exempt = config.exempt_nodes
-    full_turn = bytes(q - 1) + b"\x01"
-    return lambda node: full_turn if node in exempt else good
+    returning a rule (allow, listed): residue a is allowed exactly when
+    `(a in listed) is allow`. Exempt nodes get (True, {q - 1}), the full
+    turn only; the others (False, {0} | F), all but 0 and the bad set F."""
+    good = (False, frozenset(badset.bad_set(q, 1).members).union((0,)))
+    full_turn = (True, frozenset((q - 1,)))
+    return lambda node: full_turn if node in config.exempt_nodes else good
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,8 @@ class AsymptoticReport:
 def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -> AsymptoticReport:
     """Check every node residue against `residue_rule`."""
     allowed = residue_rule(config, assign.q)
-    bad = tuple((node, a) for node, a in assign.residues(config) if not allowed(node)[a])
+    bad = tuple((node, a) for node, a in assign.residues(config)
+                for allow, listed in [allowed(node)] if (a in listed) is not allow)
     return AsymptoticReport(ok=not bad, bad_nodes=bad)
 
 
@@ -155,8 +158,7 @@ def _draws(
     any scheduling of tries reproduces them: each is None if a multiplicity
     collapses mod q, else the assignment and its nodes that break
     `residue_rule`, in node order and computed as they are consumed."""
-    allowed = residue_rule(problem.config, problem.q)
-    tables = [allowed(node) for node in problem.config.nodes]
+    rules = list(map(residue_rule(problem.config, problem.q), problem.config.nodes))
     for t in range(max_tries):
         base = _draw_base(problem, random.Random(f"{seed}:{t}"))
         try:
@@ -165,7 +167,8 @@ def _draws(
             yield None
             continue
         residues = assign.residues(problem.config)
-        yield assign, (node for (node, a), table in zip(residues, tables) if not table[a])
+        yield assign, (node for (node, a), (allow, listed) in zip(residues, rules)
+                       if (a in listed) is not allow)
 
 
 def sample_with_stats(
@@ -229,59 +232,44 @@ class NodeImages:
     A node whose two end multiplicities are a1*v + b1 and a2*v + b2 (mod q)
     in an unknown v has the image
 
-        {v in Z/q : some a with allowed[a] = 1 has a*(a1*v + b1) + (a2*v + b2) = 0},
+        {v in Z/q : some allowed a has a*(a1*v + b1) + (a2*v + b2) = 0},
 
-    for a q-byte residue table `allowed` from `residue_rule`, held as an int
-    with bit v set. It includes every v at which both ends
-    vanish, since every a then works. Shifting v by t = b1/a1 (or b2/a2
-    when a1 = 0) turns the image into a bit rotation of the image of
-    (a1, b1 - a1*t, a2, b2 - a2*t), so nodes that differ by a translation
-    of v share one evaluation.
+    for a rule (allow, listed) from `residue_rule`, held as an int with bit
+    v set. It includes every v at which both ends vanish, since every a
+    then works. Shifting v by t = b1/a1 (or b2/a2 when a1 = 0) turns the
+    image into a bit rotation of the image of (a1, b1 - a1*t, a2, b2 - a2*t),
+    so nodes that differ by a translation of v share one evaluation.
 
-    An evaluation costs one step per residue of the shorter of the table's
-    allowed and disallowed lists (the full turn at an exempt node, F and 0
-    elsewhere), not one per v: for a fixed residue a the node equation is
-    linear in v, so it has one root, none, or every v.
+    An evaluation costs one step per residue in the rule's `listed` set
+    (the full turn at an exempt node, F and 0 elsewhere), not one per v:
+    for a fixed residue a the node equation is linear in v, so it has one
+    root, none, or every v.
     """
 
     def __init__(self, q: int) -> None:
         self.q = q
         self.full = (1 << q) - 1
         self._inv = [0] + [pow(v, -1, q) for v in range(1, q)]
-        self._listed: dict[bytes, tuple[int, list[int]]] = {}
         self._memo: dict[tuple, int] = {}
 
-    def __call__(self, allowed: bytes, a1: int, b1: int, a2: int, b2: int) -> int:
-        key = (allowed, a1, b1, a2, b2)
+    def __call__(self, rule: Rule, a1: int, b1: int, a2: int, b2: int) -> int:
+        key = (rule, a1, b1, a2, b2)
         img = self._memo.get(key)
         if img is not None:
             return img
         q = self.q
         t = b1 * self._inv[a1] % q if a1 else b2 * self._inv[a2] % q
         if t:
-            base = self(allowed, a1, (b1 - a1 * t) % q, a2, (b2 - a2 * t) % q)
+            base = self(rule, a1, (b1 - a1 * t) % q, a2, (b2 - a2 * t) % q)
             img = ((base >> t) | (base << (q - t))) & self.full
         else:
-            img = self._evaluate(allowed, a1, b1, a2, b2)
+            img = self._evaluate(rule, a1, b1, a2, b2)
         if (len(self._memo) + 1) * q > _IMAGE_MEMO_BITS:
             self._memo.clear()
         self._memo[key] = img
         return img
 
-    def _residue_list(self, allowed: bytes) -> tuple[int, list[int]]:
-        """(byte, residues): the residues whose table byte is `byte`, for
-        whichever byte value is rarer in `allowed`."""
-        listed = self._listed.get(allowed)
-        if listed is None:
-            byte = int(2 * allowed.count(1) <= self.q)
-            residues, a = [], allowed.find(byte)
-            while a >= 0:
-                residues.append(a)
-                a = allowed.find(byte, a + 1)
-            listed = self._listed[allowed] = (byte, residues)
-        return listed
-
-    def _evaluate(self, allowed: bytes, a1: int, b1: int, a2: int, b2: int) -> int:
+    def _evaluate(self, rule: Rule, a1: int, b1: int, a2: int, b2: int) -> int:
         q, inv = self.q, self._inv
         if not (a1 or b1):
             # the first end vanishes at every v: v is in the image exactly
@@ -290,16 +278,16 @@ class NodeImages:
                 return 1 << ((q - b2) * inv[a2] % q)
             return 0 if b2 else self.full
         # Where the first end is nonzero the residue is a exactly at the roots
-        # of (a*a1 + a2)*v + (a*b1 + b2): start from the other byte value and
-        # give the roots of the listed residues the listed one.
-        byte, residues = self._residue_list(allowed)
-        bits = bytearray((1 - byte,)) * q
-        for a in residues:
+        # of (a*a1 + a2)*v + (a*b1 + b2): start every v at the verdict on
+        # unlisted residues, and give the roots of the listed ones `allow`.
+        allow, listed = rule
+        bits = bytearray((not allow,)) * q
+        for a in listed:
             den = (a * a1 + a2) % q
             if den:
-                bits[-(a * b1 + b2) * inv[den] % q] = byte
+                bits[-(a * b1 + b2) * inv[den] % q] = allow
             elif (a * b1 + b2) % q == 0:
-                bits = bytearray((byte,)) * q  # the residue is a at every v
+                bits = bytearray((allow,)) * q  # the residue is a at every v
                 break
         if a1:
             v = (q - b1) * inv[a1] % q  # the first end vanishes here only
@@ -372,9 +360,9 @@ def search_assignment(
     # Split nodes: section-section ones are checkable during phase 1 (staged
     # by the later of the two section steps); every other node touches one
     # fiber and joins that fiber's phase-2 constraint set. Each is kept as
-    # (allowed-residue table, first end, second end).
-    stage_nodes: list[list[tuple[bytes, str, str]]] = [[] for _ in range(n_steps)]
-    fiber_nodes: dict[str, list[tuple[bytes, str, str]]] = {f: [] for f in fiber_ids}
+    # (residue rule, first end, second end).
+    stage_nodes: list[list[tuple[Rule, str, str]]] = [[] for _ in range(n_steps)]
+    fiber_nodes: dict[str, list[tuple[Rule, str, str]]] = {f: [] for f in fiber_ids}
     for node, fiber in zip(cfg.nodes, cfg.node_fibers):
         i, j, _count = node
         if fiber is None:
@@ -389,7 +377,7 @@ def search_assignment(
     weight, reserve = (1, 0) if paired else (params.e * params.chain_length, n_y)
     nu: dict[str, int] = {}
 
-    def image(rule: bytes, i: str, j: str, forms: dict[str, tuple[int, int]]) -> int:
+    def image(rule: Rule, i: str, j: str, forms: dict[str, tuple[int, int]]) -> int:
         """Image of node (i, j) in the active unknown v: an end in `forms`
         is alpha*v + beta, any other end is fixed at its nu."""
         a1, b1 = forms.get(i) or (0, nu[i])

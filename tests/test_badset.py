@@ -14,7 +14,6 @@ from chernslope.badset import (
     _leq_shifted_sqrt,
     bad_set,
     good_residues,
-    good_table,
     verify_bounds,
 )
 from chernslope.numtheory import (
@@ -69,13 +68,10 @@ class TestBadSetMembers:
             assert good_residues(q, ONE) == frozenset(bs.complement)
 
     @pytest.mark.parametrize("C", [ONE, Fraction(1, 2), Fraction(3)])
-    def test_good_table_agrees_with_bad_set(self, C):
+    def test_good_residues_agree_with_bad_set(self, C):
         for q in primes_between(17, 1000):
             bad = set(bad_set(q, C).members)
-            table = good_table(q, C)
-            assert table == bytes(a != 0 and a not in bad for a in range(q)), q
-            assert table[0] == 0
-            assert good_residues(q, C) == {a for a, good in enumerate(table) if good}
+            assert good_residues(q, C) == {a for a in range(1, q) if a not in bad}, q
 
     def test_known_good_residues_at_17(self):
         assert set(good_residues(17, ONE)) == {5, 7, 10, 12}

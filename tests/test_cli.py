@@ -168,12 +168,25 @@ class TestInvalidInputExits2:
         ("slope", "--target", "1/0"),
         ("nef", "--d", "3"),
         ("slope", "--target", "0.3e400"),  # beyond the float range of `target_approx`
+        # argparse's own errors: a value read as an option, a missing value,
+        # a bad choice, no subcommand
+        ("slope", "--target", "-1/2"),
+        ("search", "--q"),
+        ("cover", "--family", "Q", "--q", "17"),
+        (),
     ])
     def test_one_error_line(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [("--help",), ("search", "--help")])
+    def test_help_still_prints_usage(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: chernslope")
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("base", [
         [1, 2, 3], {"S1": None},

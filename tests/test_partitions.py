@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,13 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chernslope import cli, partitions, pipeline
-from chernslope.badset import good_table
+from chernslope.badset import bad_set
 from chernslope.geometry import ArrangementParams, Family, build_resolution
-from chernslope.numtheory import DomainError
+from chernslope.numtheory import DomainError, primes_between
 from chernslope.partitions import (
     NodeImages,
     NotFound,
     PartitionProblem,
+    residue_rule,
     sample_with_stats,
     sampler_diagnostics,
     search_assignment,
@@ -63,6 +65,24 @@ def moebius_image(table, q, a1, b1, a2, b2) -> set[int]:
             continue
         sols.add(num * pow(den, -1, q) % q)
     return sols
+
+
+def good_table(q) -> bytes:
+    """The good residues at q as q bytes: byte a is 1 when a is good."""
+    bad = set(bad_set(q, 1).members)
+    return bytes(a != 0 and a not in bad for a in range(q))
+
+
+def rules_of(table) -> list:
+    """A residue table as `residue_rule` rules (allow, listed), both ways:
+    listing the allowed residues, and listing the others."""
+    return [(allow, frozenset(a for a, byte in enumerate(table) if byte == allow))
+            for allow in (True, False)]
+
+
+def allowed_by(rule, q) -> set[int]:
+    allow, listed = rule
+    return {a for a in range(q) if (a in listed) is allow}
 
 
 def per_v_image(table, q, a1, b1, a2, b2) -> int:
@@ -129,8 +149,6 @@ class TestRejectionSampler:
     def test_retry_rate_improves_with_q(self, family_a_config):
         # the bad/all draw ratio tends to zero: tries per success shrink in
         # trend over growing primes (statistical, not per-instance)
-        from chernslope.numtheory import primes_between
-
         primes = primes_between(400, 2100)
         primes = primes[:: len(primes) // 20] if len(primes) > 20 else primes
         tries_at = []
@@ -455,16 +473,18 @@ class TestNodeImages:
             b1, b2 = rng.randrange(q), rng.randrange(q)
             forms += [(a1, b1, a2, b2), (a1, 0, a2, b2), (a1, b1, a2, 0)]
             forms.append((a1, b1, a1, b1))  # both ends vanish together
-        for table in (good_table(q, 1), bytes(q - 1) + b"\x01"):
+        for table in (good_table(q), bytes(q - 1) + b"\x01"):
             for form in forms:
-                img = images(table, *form)
-                assert 0 <= img <= images.full
-                assert {v for v in range(q) if (img >> v) & 1} == moebius_image(table, q, *form)
+                expected = moebius_image(table, q, *form)
+                for rule in rules_of(table):
+                    img = images(rule, *form)
+                    assert 0 <= img <= images.full
+                    assert {v for v in range(q) if (img >> v) & 1} == expected
 
     @staticmethod
     def tables(q):
         """The good table, the full turn, nothing allowed, all but 0 allowed."""
-        return (good_table(q, 1), bytes(q - 1) + b"\x01", bytes(q), b"\x00" + b"\x01" * (q - 1))
+        return (good_table(q), bytes(q - 1) + b"\x01", bytes(q), b"\x00" + b"\x01" * (q - 1))
 
     @staticmethod
     def forms(q, rng, count):
@@ -483,8 +503,10 @@ class TestNodeImages:
         rng = random.Random(f"per-v:{q}")
         for table in self.tables(q):
             for form in self.forms(q, rng, 12):
-                assert images._evaluate(table, *form) == per_v_image(table, q, *form), form
-                assert images(table, *form) == per_v_image(table, q, *form), form
+                expected = per_v_image(table, q, *form)
+                for rule in rules_of(table):
+                    assert images._evaluate(rule, *form) == expected, form
+                    assert images(rule, *form) == expected, form
 
     def test_evaluate_matches_per_v_reference_at_large_q(self):
         q = 30931
@@ -494,7 +516,36 @@ class TestNodeImages:
         forms += [tuple(rng.randrange(q) for _ in range(4)) for _ in range(3)]
         for table in self.tables(q):
             for form in forms:
-                assert images._evaluate(table, *form) == per_v_image(table, q, *form), form
+                expected = per_v_image(table, q, *form)
+                for rule in rules_of(table):
+                    assert images._evaluate(rule, *form) == expected, form
+
+
+class TestResidueRule:
+    def test_allows_good_set_or_full_turn(self, family_a_config, paired_config):
+        for q in primes_between(17, 1000):
+            good = set(bad_set(q, 1).complement)
+            for config in (family_a_config, paired_config):
+                rule_at = residue_rule(config, q)
+                allowed = {}  # every node shares one of two rules
+                for node in config.nodes:
+                    rule = rule_at(node)
+                    if rule not in allowed:
+                        allowed[rule] = allowed_by(rule, q)
+                    expected = {q - 1} if node in config.exempt_nodes else good
+                    assert allowed[rule] == expected, (q, node)
+
+    def test_sampled_path_stays_below_q_bytes(self, family_a_config):
+        # the rules are O(|F|): no q-byte table is built to sample or verify
+        q = 10_000_019
+        tracemalloc.start()
+        try:
+            result, _ = sample_with_stats(PartitionProblem(family_a_config, q), seed=1)
+            assert verify_asymptotic(family_a_config, result).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q
 
 
 class TestExemptNodes:
