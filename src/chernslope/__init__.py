@@ -26,12 +26,10 @@ from .geometry import (
 from .numtheory import (
     DedekindData,
     DomainError,
-    c_value,
     dedekind_data,
     dedekind_sum,
     dedekind_sum_direct,
     hj_length,
-    sawtooth,
 )
 from .nefcheck import NefReport, closed_entries, config_entries, min_nef_q, nef_report
 from .partitions import (

@@ -126,28 +126,16 @@ def dedekind_sum(q: int, a: int) -> Fraction:
     return dedekind_data(q, a).s
 
 
-def c_value(q: int, a: int) -> Fraction:
-    """c(a, q) = 12 s(a, q) + length of the HJ expansion of q/a."""
-    return dedekind_data(q, a).c
-
-
 # ---------------------------------------------------------------------------
 # The defining O(q) sum, kept as an oracle
 # ---------------------------------------------------------------------------
 
-def sawtooth(x: Fraction) -> Fraction:
-    """((x)): x - floor(x) - 1/2 away from the integers, 0 on them."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
-
-
 def dedekind_sum_direct(q: int, a: int) -> Fraction:
-    """The defining sum s(a, q) = sum_i ((i/q)) ((ia/q)), evaluated exactly.
+    """The defining sum s(a, q) = sum_i ((i/q)) ((ia/q)), evaluated exactly,
+    where the sawtooth ((x)) is x - floor(x) - 1/2 off the integers and 0 on
+    them; for 0 < i < q, ((i/q)) = (2i - q)/(2q).
 
     O(q) work; used as the independent oracle for `dedekind_sum`.
-    For 0 < i < q coprime pieces, ((i/q)) = (2i - q)/(2q).
     """
     _check_pair(q, a)
     total = 0

@@ -16,7 +16,7 @@ that order.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -26,7 +26,7 @@ from . import badset
 from .badset import good_residues  # noqa: F401
 from .geometry import Family, ResolvedConfiguration
 from .numtheory import DomainError, is_prime
-from .rootcover import BranchAssignment, InvalidAssignmentError
+from .rootcover import BranchAssignment, InvalidAssignmentError, NegatedInverses
 
 
 def min_feasible_q(params) -> int:
@@ -143,21 +143,26 @@ class AsymptoticReport:
     bad_nodes: tuple[tuple[tuple[str, str, int], int], ...]  # (node, residue)
 
 
+def _bad_nodes(config: ResolvedConfiguration, assign: BranchAssignment,
+               rules: Iterable[Rule]) -> Iterator[tuple[tuple[str, str, int], int]]:
+    """(node, residue) for each node whose residue breaks its rule (`rules`
+    holds one per node, in node order), computed as they are consumed."""
+    return ((node, a) for (node, a), (allow, listed) in zip(assign.residues(config), rules)
+            if (a in listed) is not allow)
+
+
 def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -> AsymptoticReport:
     """Check every node residue against `residue_rule`."""
-    allowed = residue_rule(config, assign.q)
-    bad = tuple((node, a) for node, a in assign.residues(config)
-                for allow, listed in [allowed(node)] if (a in listed) is not allow)
+    bad = tuple(_bad_nodes(config, assign, map(residue_rule(config, assign.q), config.nodes)))
     return AsymptoticReport(ok=not bad, bad_nodes=bad)
 
 
 def _draws(
     problem: PartitionProblem, seed: int, max_tries: int
-) -> Iterator[tuple[BranchAssignment, Iterator[tuple[str, str, int]]] | None]:
+) -> Iterator[tuple[BranchAssignment, Iterator[tuple[tuple[str, str, int], int]]] | None]:
     """The sampler's seeded draws, one generator per (seed, try index) so
     any scheduling of tries reproduces them: each is None if a multiplicity
-    collapses mod q, else the assignment and its nodes that break
-    `residue_rule`, in node order and computed as they are consumed."""
+    collapses mod q, else the assignment and its `_bad_nodes`."""
     rules = list(map(residue_rule(problem.config, problem.q), problem.config.nodes))
     for t in range(max_tries):
         base = _draw_base(problem, random.Random(f"{seed}:{t}"))
@@ -166,9 +171,7 @@ def _draws(
         except InvalidAssignmentError:
             yield None
             continue
-        residues = assign.residues(problem.config)
-        yield assign, (node for (node, a), (allow, listed) in zip(residues, rules)
-                       if (a in listed) is not allow)
+        yield assign, _bad_nodes(problem.config, assign, rules)
 
 
 def sample_with_stats(
@@ -201,7 +204,7 @@ def sampler_diagnostics(
     for draw in _draws(problem, seed, max_tries):
         bad = list(islice(draw[1], fewest_bad)) if draw else []
         if bad and (fewest_bad is None or len(bad) < fewest_bad):
-            fewest_bad, worst_node = len(bad), bad[0]
+            fewest_bad, worst_node = len(bad), bad[0][0]
     return fewest_bad, worst_node
 
 
@@ -243,13 +246,14 @@ class NodeImages:
     An evaluation costs one step per residue in the rule's `listed` set
     (the full turn at an exempt node, F and 0 elsewhere), not one per v:
     for a fixed residue a the node equation is linear in v, so it has one
-    root, none, or every v.
+    root, none, or every v. Inverses come from `rootcover.NegatedInverses`,
+    which computes q - x^-1 mod q for the few x that occur, on first use.
     """
 
     def __init__(self, q: int) -> None:
         self.q = q
         self.full = (1 << q) - 1
-        self._inv = [0] + [pow(v, -1, q) for v in range(1, q)]
+        self._neg_inv = NegatedInverses(q)
         self._memo: dict[tuple, int] = {}
 
     def __call__(self, rule: Rule, a1: int, b1: int, a2: int, b2: int) -> int:
@@ -257,8 +261,8 @@ class NodeImages:
         img = self._memo.get(key)
         if img is not None:
             return img
-        q = self.q
-        t = b1 * self._inv[a1] % q if a1 else b2 * self._inv[a2] % q
+        q, neg_inv = self.q, self._neg_inv
+        t = -b1 * neg_inv[a1] % q if a1 else -b2 * neg_inv[a2] % q if a2 else 0
         if t:
             base = self(rule, a1, (b1 - a1 * t) % q, a2, (b2 - a2 * t) % q)
             img = ((base >> t) | (base << (q - t))) & self.full
@@ -270,12 +274,12 @@ class NodeImages:
         return img
 
     def _evaluate(self, rule: Rule, a1: int, b1: int, a2: int, b2: int) -> int:
-        q, inv = self.q, self._inv
+        q, neg_inv = self.q, self._neg_inv
         if not (a1 or b1):
             # the first end vanishes at every v: v is in the image exactly
             # when the second end vanishes too
             if a2:
-                return 1 << ((q - b2) * inv[a2] % q)
+                return 1 << (b2 * neg_inv[a2] % q)
             return 0 if b2 else self.full
         # Where the first end is nonzero the residue is a exactly at the roots
         # of (a*a1 + a2)*v + (a*b1 + b2): start every v at the verdict on
@@ -285,12 +289,12 @@ class NodeImages:
         for a in listed:
             den = (a * a1 + a2) % q
             if den:
-                bits[-(a * b1 + b2) * inv[den] % q] = allow
+                bits[(a * b1 + b2) * neg_inv[den] % q] = allow
             elif (a * b1 + b2) % q == 0:
                 bits = bytearray((allow,)) * q  # the residue is a at every v
                 break
         if a1:
-            v = (q - b1) * inv[a1] % q  # the first end vanishes here only
+            v = b1 * neg_inv[a1] % q  # the first end vanishes here only
             bits[v] = (a2 * v + b2) % q == 0
         return int(bits.translate(_BINARY_DIGITS)[::-1], 2)
 
@@ -317,12 +321,14 @@ def search_assignment(
     constrained independently of the others except through the sum-to-q
     equation.
 
-    Both phases see every node they check as two ends linear in the
-    unknown of the current step, and read its feasible values from one
-    memoised `NodeImages` bitset owned by this call. Phase 1 runs a
-    depth-first search over the few section unknowns (`_section_steps`):
-    entering a step, it intersects the images of the section-section nodes
-    the step completes and tries the step's candidates against that mask.
+    One table, form[c] = (alpha, beta), says that component c's
+    multiplicity is alpha*v + beta in the current step's unknown v (a fixed
+    component is (0, value)). Both phases read a node's two ends from it and
+    the node's feasible values from one memoised `NodeImages` bitset owned
+    by this call. Phase 1 runs a depth-first search over the few section
+    unknowns (`_section_steps`): entering a step, it intersects the images
+    of the section-section nodes the step completes and tries the step's
+    candidates against that mask.
     Phase 2 intersects, per fiber, the images of that fiber's nodes, keeps
     values 1..cap with nonzero chain multiplicities, and solves the
     remaining sum constraint by a bitset subset-sum sweep over the fibers.
@@ -333,9 +339,9 @@ def search_assignment(
     identical (problem, seed) yields identical output. A restart that
     empties its search space within its slice is a proof that q has no
     good assignment; an exhaustive DFS makes the same attempts in every
-    value order, so the later restarts are counted, not run. Returns
-    NotFound with the number of attempts if the budget runs out or the
-    search space is exhausted.
+    value order, so the later restarts are counted in closed form, not run.
+    Returns NotFound with the number of attempts if the budget runs out or
+    the search space is exhausted.
     """
     cfg = problem.config
     params = cfg.params
@@ -371,20 +377,13 @@ def search_assignment(
             fiber_nodes[fiber].append((allowed(node), i, j))
 
     attempts = 0
-    budget_cap = 0
     n_y = len(fiber_ids)
     # A step's candidates leave each later step 1 and, in A0/A, each fiber 1
     weight, reserve = (1, 0) if paired else (params.e * params.chain_length, n_y)
-    nu: dict[str, int] = {}
+    # entries of steps and fibers not yet entered may be stale; none is read before it is set
+    form: dict[str, tuple[int, int]] = {}
 
-    def image(rule: Rule, i: str, j: str, forms: dict[str, tuple[int, int]]) -> int:
-        """Image of node (i, j) in the active unknown v: an end in `forms`
-        is alpha*v + beta, any other end is fixed at its nu."""
-        a1, b1 = forms.get(i) or (0, nu[i])
-        a2, b2 = forms.get(j) or (0, nu[j])
-        return images(rule, a1, b1, a2, b2)
-
-    def solve_fibers(s: int) -> dict[str, int] | None:
+    def solve_fibers(s: int) -> bool:
         """Phase 2: pick one good value per fiber hitting the exact sum.
 
         Each fiber's feasible values are the intersection of its nodes'
@@ -392,39 +391,40 @@ def search_assignment(
         intersection), cut to 1..cap and to nonzero chain multiplicities.
         A bitset subset-sum sweep (bit s of reach[t] says the first t
         fibers can sum to s) then decides the sum-to-target equation
-        exactly, and a backward walk reconstructs one solution in value
-        orders drawn from the restart's generator.
+        exactly, and a backward walk sets one solution in the table, in
+        value orders drawn from the restart's generator.
         """
         nonlocal attempts
         target = q if paired else q - weight * s
         if target < n_y:
-            return None
+            return False
         cap = min(target - (n_y - 1), q - 1)
         window = ((1 << cap) - 1) << 1  # values 1..cap
         feasible: list[int] = []
         for f in fiber_ids:
             # the fiber is v; the k-th curve of its chain is v + k*(nu_a + nu_b)
-            forms = {f: (1, 0)}
+            form[f] = (1, 0)
             tang = tangency_of.get(f)
             if tang is not None:
-                a, b = tang.sections
-                ends = nu[a] + nu[b]
+                ends = sum(form[c][1] for c in tang.sections)
                 for k, gid in enumerate(tang.chain, start=1):
-                    forms[gid] = (1, k * ends % q)
+                    form[gid] = (1, k * ends % q)
             sol = images.full
             for rule, i, j in fiber_nodes[f]:
                 attempts += 1
                 if attempts > budget_cap:
-                    return None
-                sol &= image(rule, i, j, forms)
+                    return False
+                a1, b1 = form[i]
+                a2, b2 = form[j]
+                sol &= images(rule, a1, b1, a2, b2)
                 if not sol:
-                    return None
+                    return False
+            # values 1..cap at which the chain's multiplicities stay nonzero
             sol &= window
-            # multiplicities along the fiber and its chain must stay nonzero
-            for _, beta in forms.values():
-                sol &= ~(1 << (-beta % q))
+            for gid in tang.chain if tang else ():
+                sol &= ~(1 << (-form[gid][1] % q))
             if not sol:
-                return None
+                return False
             feasible.append(sol)
         mask = (1 << (target + 1)) - 1
         reach = [1]
@@ -435,12 +435,11 @@ def search_assignment(
                 nxt |= cur << v
             nxt &= mask
             if nxt == 0:
-                return None
+                return False
             reach.append(nxt)
         if not (reach[-1] >> target) & 1:
-            return None
+            return False
         orders_y = [rng.sample(range(1, q), q - 1) for _ in range(n_y)]
-        out: dict[str, int] = {}
         s = target
         for t in range(n_y - 1, -1, -1):
             prev = reach[t]
@@ -450,29 +449,30 @@ def search_assignment(
                     chosen = v
                     break
             assert chosen is not None
-            out[fiber_ids[t]] = chosen
+            form[fiber_ids[t]] = (0, chosen)
             s -= chosen
         assert s == 0
-        return out
+        return True
 
-    def dfs(idx: int, s: int) -> dict[str, int] | None:
-        """Phase 1 from step `idx`, where s sums the earlier steps' values.
-        Entries of `nu` past `idx` may be stale; none is read before it is set."""
+    def dfs(idx: int, s: int) -> bool:
+        """Phase 1 from step `idx`, where s sums the earlier steps' values."""
         nonlocal attempts
         if idx == n_steps:
             return solve_fibers(s)
         comp, partner = steps[idx]
         hi = (q - weight * (s + n_steps - idx - 1) - reserve) // weight
         beta = 0 if paired else -s
-        forms = {comp: (1, 0)}
+        form[comp] = (1, 0)
         if partner is not None:
-            forms[partner] = (q - 1, beta % q)
+            form[partner] = (q - 1, beta % q)
         # Every candidate and every fixed section lies in 1..q-1, and a
         # candidate that would zero its partner is skipped, so no node end
         # vanishes: the images alone decide.
         mask = images.full
         for rule, i, j in stage_nodes[idx]:
-            mask &= image(rule, i, j, forms)
+            a1, b1 = form[i]
+            a2, b2 = form[j]
+            mask &= images(rule, a1, b1, a2, b2)
         # APRIME's pair values sum to q, so its last one is forced (hi = q - s)
         values = (hi,) if paired and idx == n_steps - 1 else orders[idx]
         for v in values:
@@ -480,18 +480,17 @@ def search_assignment(
                 continue
             attempts += 1
             if attempts > budget_cap:
-                return None
+                return False
             if not (mask >> v) & 1:
                 continue
-            nu[comp] = v
+            form[comp] = (0, v)
             if partner is not None:
-                nu[partner] = (beta - v) % q
-            ys = dfs(idx + 1, s + v)
-            if ys is not None:
-                return ys
+                form[partner] = (0, (beta - v) % q)
+            if dfs(idx + 1, s + v):
+                return True
             if attempts > budget_cap:
-                return None
-        return None
+                return False
+        return False
 
     # Deterministic restarts: each gets a fresh seeded value order and a
     # slice of the global attempt budget, so one unlucky ordering cannot
@@ -500,30 +499,20 @@ def search_assignment(
     # orders only when it reconstructs a solution.
     restarts = 8
     slice_budget = max(1, node_budget // restarts)
-    ys = None
     for restart in range(restarts):
         rng = random.Random(f"search:{seed}:{restart}")
         orders = [rng.sample(range(1, q), q - 1) for _ in range(n_steps)]
         start = attempts
         budget_cap = min(node_budget, attempts + slice_budget)
-        nu.clear()
-        ys = dfs(0, 0)
-        if ys is not None or attempts >= node_budget:
+        if dfs(0, 0):
+            return BranchAssignment.from_base(cfg, q, {c: form[c][1] for c in cfg.base_ids})
+        if attempts >= node_budget:
             break
         if attempts <= budget_cap:
             # The DFS emptied its search space under its cap: q has no good
             # assignment. An exhaustive DFS tries every candidate whatever
             # the value order, and draws nothing until it succeeds, so each
-            # later restart would spend the same attempts on the same proof;
-            # count them through the loop's own cap arithmetic instead.
-            per_run = attempts - start
-            for _ in range(restart + 1, restarts):
-                budget_cap = min(node_budget, attempts + slice_budget)
-                attempts = min(attempts + per_run, budget_cap + 1)
-                if attempts >= node_budget:
-                    break
+            # later restart would spend the same attempts, within its slice.
+            attempts = min(attempts + (attempts - start) * (restarts - restart - 1), node_budget)
             break
-    if ys is not None:
-        nu.update(ys)
-        return BranchAssignment.from_base(cfg, q, dict(nu))
     return NotFound(tries=attempts, zero_hits=0)

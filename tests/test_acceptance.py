@@ -21,7 +21,7 @@ from chernslope.geometry import (
     log_chern_pair,
 )
 from chernslope.numtheory import (
-    c_value,
+    dedekind_data,
     dedekind_sum,
     dedekind_sum_direct,
     hj_length,
@@ -74,7 +74,7 @@ def test_criterion_01_dedekind_fast_vs_oracle_and_reciprocity():
 
 def test_criterion_02_chain_of_minus_twos_constants():
     ok = all(
-        c_value(q, q - 1) == 2 - Fraction(2, q) and hj_length(q, q - 1) == q - 1
+        dedekind_data(q, q - 1).c == 2 - Fraction(2, q) and hj_length(q, q - 1) == q - 1
         for q in primes_between(2, 1000)
         if q > 2
     )

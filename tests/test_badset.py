@@ -18,7 +18,7 @@ from chernslope.badset import (
 )
 from chernslope.numtheory import (
     DomainError,
-    c_value,
+    dedekind_data,
     dedekind_sum,
     hj_length,
     next_prime,
@@ -131,7 +131,7 @@ class TestGoodCValues:
         # c(a,q) = 12 s(a,q) + l(a,q) stays O(sqrt(q)) on the good set
         for q in (101, 499):
             for a in good_residues(q, ONE):
-                assert abs(c_value(q, a)) <= 6 * math.sqrt(q) + 7
+                assert abs(dedekind_data(q, a).c) <= 6 * math.sqrt(q) + 7
 
 
 def _reference_leq_shifted_sqrt(value: Fraction, shift: int, coef: Fraction, q: int) -> bool:

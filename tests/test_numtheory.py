@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from chernslope.numtheory import (
     DomainError,
-    c_value,
     ceil_isqrt,
     dedekind_data,
     dedekind_sum,
@@ -17,7 +16,6 @@ from chernslope.numtheory import (
     is_prime,
     next_prime,
     primes_between,
-    sawtooth,
 )
 
 
@@ -62,23 +60,6 @@ class TestHirzebruchJung:
             dedekind_data(5, 5)
 
 
-class TestSawtooth:
-    def test_integers_map_to_zero(self):
-        assert sawtooth(Fraction(0)) == 0
-        assert sawtooth(Fraction(7)) == 0
-        assert sawtooth(Fraction(-3)) == 0
-
-    def test_fractional_values(self):
-        assert sawtooth(Fraction(1, 4)) == Fraction(-1, 4)
-        assert sawtooth(Fraction(3, 4)) == Fraction(1, 4)
-        assert sawtooth(Fraction(1, 2)) == 0
-
-    @given(st.fractions(min_value=-10, max_value=10))
-    def test_odd_and_periodic(self, x):
-        assert sawtooth(x + 1) == sawtooth(x)
-        assert sawtooth(-x) == -sawtooth(x)
-
-
 class TestDedekindSum:
     def test_known_values(self):
         assert dedekind_sum(5, 1) == Fraction(1, 5)
@@ -106,7 +87,7 @@ class TestDedekindSum:
             data = dedekind_data(q, a)
             direct = dedekind_sum_direct(q, a)
             assert data.s == direct, (q, a)
-            assert c_value(q, a) == data.c == 12 * direct + dedekind_data(q, a).length
+            assert data.c == 12 * direct + data.length
 
     def test_negation_symmetry(self):
         for q, a in coprime_pairs(60):
@@ -115,22 +96,22 @@ class TestDedekindSum:
 
 class TestCInvariant:
     def test_known_value(self):
-        assert c_value(5, 3) == 2
+        assert dedekind_data(5, 3).c == 2
 
     def test_full_turn_identity_small_primes(self):
         for q in primes_between(2, 200):
-            assert c_value(q, q - 1) == 2 - Fraction(2, q)
+            assert dedekind_data(q, q - 1).c == 2 - Fraction(2, q)
 
     def test_definition(self):
         for q, a in coprime_pairs(50):
-            assert c_value(q, a) == 12 * dedekind_sum(q, a) + hj_length(q, a)
+            assert dedekind_data(q, a).c == 12 * dedekind_sum(q, a) + hj_length(q, a)
 
     def test_bundled_data_is_consistent(self):
         data = dedekind_data(7, 2)
         assert data.digits == (4, 2)
         assert data.length == 2
         assert data.s == dedekind_sum(7, 2)
-        assert data.c == c_value(7, 2)
+        assert data.c == Fraction(20, 7)
 
 
 class TestPrimeHelpers:

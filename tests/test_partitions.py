@@ -3,6 +3,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import random
 import tracemalloc
@@ -460,6 +461,68 @@ class TestBacktrackingSearch:
             assert after == before
             images = made[-1]
             assert len(images._memo) <= 3 < len(images.keys)
+
+
+def compositions(total, parts):
+    """Every composition of `total` into `parts` positive integers."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield [b - a for a, b in zip((0,) + cuts, cuts + (total,))]
+
+
+def search_space(config, q):
+    """The bases the backtracking search ranges over (reference): A0/A take
+    x_i >= 1 and y_j >= 1 with e*p^r*sum(x) + sum(y) = q and the negative
+    section at q - sum(x); APRIME takes pairs (a, q - a) with sum(a) = q and
+    sum(y) = q."""
+    params, sec, fib = config.params, config.section_ids, config.fiber_ids
+    if config.family is Family.APRIME:
+        for leaders in compositions(q, params.l):
+            pairs = {c: m for a, c1, c2 in zip(leaders, sec[0::2], sec[1::2])
+                     for c, m in ((c1, a), (c2, q - a))}
+            for ys in compositions(q, len(fib)):
+                yield {**pairs, **dict(zip(fib, ys))}
+        return
+    weight, n_x = params.e * params.chain_length, params.d + params.u
+    for total in range(n_x, (q - len(fib)) // weight + 1):
+        for xs in compositions(total, n_x):
+            sections = {**dict(zip(sec, xs)), sec[-1]: q - total}
+            for ys in compositions(q - weight * total, len(fib)):
+                yield {**sections, **dict(zip(fib, ys))}
+
+
+def good_base_exists(config, q):
+    """Whether some base of `search_space` whose chains do not collapse
+    passes `verify_asymptotic` (brute force)."""
+    for base in search_space(config, q):
+        try:
+            assign = BranchAssignment.from_base(config, q, base)
+        except InvalidAssignmentError:
+            continue
+        if verify_asymptotic(config, assign).ok:
+            return True
+    return False
+
+
+class TestExhaustionOracle:
+    # A search that ends NotFound under its budget claims q has no good
+    # assignment; brute force over the same space must agree, both ways.
+    @pytest.mark.parametrize("params, q", [
+        *((ArrangementParams(Family.A0, p=2, r=1, e=1, d=3), q)
+          for q in (11, 13, 17, 19, 23, 29, 31, 61)),
+        *((ArrangementParams(Family.A, p=2, r=1, e=1, d=3, u=1, w=1), q) for q in (13, 17, 19, 23)),
+        *((ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=4), q) for q in (7, 11, 13)),
+    ], ids=lambda v: v.family.value if isinstance(v, ArrangementParams) else str(v))
+    def test_exhausted_exactly_when_no_good_base(self, params, q):
+        config = build_resolution(params)
+        budget = 200_000
+        result = search_assignment(PartitionProblem(config, q), seed=0, node_budget=budget)
+        exhausted = isinstance(result, NotFound) and result.tries < budget
+        assert exhausted is not good_base_exists(config, q)
+        if exhausted:
+            # restart 0's proof, counted once for each of the 8 restarts
+            assert result.tries % 8 == 0
+        else:
+            assert verify_asymptotic(config, result).ok
 
 
 class TestNodeImages:

@@ -8,7 +8,7 @@ import pytest
 
 from chernslope import rootcover
 from chernslope.geometry import ArrangementParams, Family, build_resolution, log_chern_pair
-from chernslope.numtheory import DomainError, c_value, hj_length
+from chernslope.numtheory import DomainError, dedekind_data, hj_length
 from chernslope.pipeline import find_assignment
 from chernslope.rootcover import (
     BranchAssignment,
@@ -160,7 +160,7 @@ class TestCoverInvariants:
         assert inv.c_correction == total_c
         assert inv.l_correction == total_l
         for s in inv.singularities:
-            assert s.c == c_value(inv.q, s.a)
+            assert s.c == dedekind_data(inv.q, s.a).c
             assert s.l == hj_length(inv.q, s.a)
 
     @pytest.mark.parametrize("params, q, seed", [
@@ -175,14 +175,14 @@ class TestCoverInvariants:
         assert method is not None
         inv = chern_of_cover(config, assign)
         terms = [(node_residue(assign.nus[i], assign.nus[j], q), n) for i, j, n in config.nodes]
-        c_corr = sum((c_value(q, a) * n for a, n in terms), Fraction(0))
+        c_corr = sum((dedekind_data(q, a).c * n for a, n in terms), Fraction(0))
         assert inv.c_correction == c_corr
         assert inv.l_correction == sum(hj_length(q, a) * n for a, n in terms)
         c1b, c2b = log_chern_pair(config)
         c1, c2 = config.c1sq_ambient, config.c2_ambient
         assert inv.c1sq == (c1b * q + 2 * (c2 - c2b)
                             + Fraction(c1 - c1b + 2 * c2b - 2 * c2, q) - c_corr)
-        assert [s.c for s in inv.singularities] == [c_value(q, a) for a, _n in terms]
+        assert [s.c for s in inv.singularities] == [dedekind_data(q, a).c for a, _n in terms]
 
     def test_chern_numbers_scale_with_degree(self, small_config, hand_assignment):
         # c2(X) = c2_bar * q + (c2 - c2_bar) + sum of lengths
@@ -201,3 +201,58 @@ class TestDefectBound:
     def test_rejects_small_q(self):
         with pytest.raises(Exception):
             defect_bound(13, 10)
+
+
+def chi_from_eigensheaves(config, assign) -> Fraction:
+    """chi(O_X) of the cover by a second route (reference, O(q) terms).
+
+    pi_* O_X splits into eigensheaves (L_i)^-1, i < q, with L_i numerically
+    sum_j f_ij D_j and f_ij = (i*nu_j mod q)/q (Esnault-Viehweg, Pardini);
+    the cyclic quotient singularities are rational, so Riemann-Roch on Y
+    gives chi = sum_i [(1 - g) + (L_i^2 + L_i.K_Y)/2], with D_j.D_k from the
+    census nodes and K_Y.D_j = 2 g_j - 2 - D_j^2. Everything is scaled by
+    q^2 to stay in integers. No Dedekind sum, HJ expansion or closed form.
+    """
+    q, nus = assign.q, assign.nus
+    total = 0  # sum over i of q^2 L_i^2 + q^2 L_i.K_Y
+    for i in range(1, q):
+        m = {c.cid: i * nus[c.cid] % q for c in config.components}
+        total += sum(m[c.cid] * (m[c.cid] * c.self_int + q * (2 * c.genus - 2 - c.self_int))
+                     for c in config.components)
+        total += 2 * sum(n * m[a] * m[b] for a, b, n in config.nodes)
+    return q * (1 - config.params.g) + Fraction(total, 2 * q * q)
+
+
+class TestChiOracle:
+    COVERS = [
+        (ArrangementParams(Family.A, p=2, r=1, e=1, d=3, u=1, w=1), (59, 61, 67, 71, 79)),
+        (ArrangementParams(Family.A0, p=3, r=1, e=1, d=3), (71, 79, 89, 97, 101)),
+        (ArrangementParams(Family.A, p=2, r=2, e=1, d=4, g=1), (127, 137, 139, 149)),
+        (ArrangementParams(Family.APRIME, p=3, r=1, e=2, d=6), (163, 167, 173, 179)),
+    ]
+
+    @staticmethod
+    def cover(params, q):
+        config = build_resolution(params)
+        assign, _draws, method = find_assignment(config, q, 0, 200)
+        assert method is not None
+        return config, assign
+
+    @pytest.mark.parametrize("params, q", [(params, q) for params, qs in COVERS for q in qs],
+                             ids=lambda v: v.family.value if isinstance(v, ArrangementParams)
+                             else str(v))
+    def test_matches_chern_of_cover(self, params, q):
+        config, assign = self.cover(params, q)
+        assert chi_from_eigensheaves(config, assign) == chern_of_cover(config, assign).chi
+
+    def test_dropping_a_census_node_breaks_agreement(self):
+        config, assign = self.cover(self.COVERS[0][0], 59)
+        chi = chern_of_cover(config, assign).chi
+        assert chi_from_eigensheaves(replace(config, nodes=config.nodes[1:]), assign) != chi
+
+    def test_changing_a_chain_multiplicity_breaks_agreement(self):
+        config, assign = self.cover(self.COVERS[3][0], 163)
+        chi = chern_of_cover(config, assign).chi
+        gid = config.tangencies[0].chain[0]
+        nus = {**assign.nus, gid: assign.nus[gid] % (assign.q - 1) + 1}
+        assert chi_from_eigensheaves(config, BranchAssignment(q=assign.q, nus=nus)) != chi
