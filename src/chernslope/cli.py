@@ -196,14 +196,16 @@ def _cmd_slope(args) -> int:
 def _cmd_prank(args) -> int:
     mults = tuple(int(x) for x in args.mults.split(","))
     data = prank.CyclicCoverData(q=args.q, p=args.p, mults=mults)
+    orbits = prank.frobenius_orbits(args.q, args.p)
     out = {
         "q": args.q, "p": args.p, "mults": list(mults),
         "genus": prank.genus(data),
         "B": prank.prank_upper_bound(data),
-        "orbits": [list(o) for o in prank.frobenius_orbits(args.q, args.p)],
+        "orbits": [list(o) for o in orbits],
     }
     if is_prime(args.q):
-        out["primitive_root"] = prank.is_primitive_root(args.p, args.q)
+        # i -> p*i is one cycle on 1..q-1 exactly when p generates (Z/q)*
+        out["primitive_root"] = len(orbits) == 1
     _emit(out)
     return EXIT_OK
 

@@ -3,8 +3,6 @@
 Everything in this module is integer / `fractions.Fraction` arithmetic; no
 floats anywhere. `dedekind_data` is the one definition of the HJ digits,
 the Dedekind sum and the c-invariant: a single HJ pass gives all three.
-The defining O(q) Dedekind sum is kept alongside it so the two can be
-pitted against each other.
 """
 from __future__ import annotations
 
@@ -32,19 +30,34 @@ def _check_pair(q: int, a: int) -> None:
 # small prime utilities shared across the package
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin with the first 13 primes as bases is exact below psi_13
+# (Sorenson-Webster, Math. Comp. 86 (2017)); no larger n is decided.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: exact below psi_13, DomainError from there on."""
+    if n >= _MR_LIMIT:
+        raise DomainError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -91,13 +104,6 @@ class DedekindData:
     def c(self) -> Fraction:
         return 12 * self.s + self.length
 
-    def evaluate(self) -> Fraction:
-        """Fold the digits back into the exact rational q/a."""
-        acc = Fraction(self.digits[-1])
-        for e in reversed(self.digits[:-1]):
-            acc = e - Fraction(1) / acc
-        return acc
-
 
 def dedekind_data(q: int, a: int) -> DedekindData:
     """HJ digits, Dedekind sum and c-invariant of (a, q) from one HJ pass.
@@ -124,22 +130,3 @@ def hj_length(q: int, a: int) -> int:
 def dedekind_sum(q: int, a: int) -> Fraction:
     """s(a, q) from the HJ digits of q/a; one integer step per digit."""
     return dedekind_data(q, a).s
-
-
-# ---------------------------------------------------------------------------
-# The defining O(q) sum, kept as an oracle
-# ---------------------------------------------------------------------------
-
-def dedekind_sum_direct(q: int, a: int) -> Fraction:
-    """The defining sum s(a, q) = sum_i ((i/q)) ((ia/q)), evaluated exactly,
-    where the sawtooth ((x)) is x - floor(x) - 1/2 off the integers and 0 on
-    them; for 0 < i < q, ((i/q)) = (2i - q)/(2q).
-
-    O(q) work; used as the independent oracle for `dedekind_sum`.
-    """
-    _check_pair(q, a)
-    total = 0
-    for i in range(1, q):
-        r = (i * a) % q
-        total += (2 * i - q) * (2 * r - q)
-    return Fraction(total, 4 * q * q)

@@ -395,9 +395,9 @@ def search_assignment(
         value orders drawn from the restart's generator.
         """
         nonlocal attempts
+        # target >= n_y: dfs's hi leaves reserve = n_y in A0/A, and
+        # min_feasible_q puts q above delta = n_y in APRIME
         target = q if paired else q - weight * s
-        if target < n_y:
-            return False
         cap = min(target - (n_y - 1), q - 1)
         window = ((1 << cap) - 1) << 1  # values 1..cap
         feasible: list[int] = []
@@ -465,9 +465,10 @@ def search_assignment(
         form[comp] = (1, 0)
         if partner is not None:
             form[partner] = (q - 1, beta % q)
-        # Every candidate and every fixed section lies in 1..q-1, and a
-        # candidate that would zero its partner is skipped, so no node end
-        # vanishes: the images alone decide.
+        # Every candidate and every fixed section lies in 1..q-1, and so does
+        # the partner (beta - v) mod q: APRIME has beta = 0, and in A0/A
+        # v <= hi gives weight*(s + v) <= q - reserve with weight = e*p^r >= 2,
+        # so 0 < s + v < q. No node end vanishes: the images alone decide.
         mask = images.full
         for rule, i, j in stage_nodes[idx]:
             a1, b1 = form[i]
@@ -476,7 +477,7 @@ def search_assignment(
         # APRIME's pair values sum to q, so its last one is forced (hi = q - s)
         values = (hi,) if paired and idx == n_steps - 1 else orders[idx]
         for v in values:
-            if v > hi or (partner is not None and (beta - v) % q == 0):
+            if v > hi:
                 continue
             attempts += 1
             if attempts > budget_cap:

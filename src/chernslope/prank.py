@@ -62,11 +62,6 @@ def genus(data: CyclicCoverData) -> int:
     return two_g // 2
 
 
-def genus_via_cohomology(data: CyclicCoverData) -> int:
-    """Independent genus computation: sum of all eigenspace dimensions."""
-    return sum(h1_dim(i, data) for i in range(1, data.q))
-
-
 def frobenius_orbits(q: int, p: int) -> list[tuple[int, ...]]:
     """Orbits of {1, .., q-1} under multiplication by p mod q."""
     if math.gcd(p, q) != 1:
@@ -93,21 +88,3 @@ def prank_upper_bound(data: CyclicCoverData) -> int:
         total += len(orbit) * min(h1_dim(i, data) for i in orbit)
     return total
 
-
-def is_primitive_root(p: int, q: int) -> bool:
-    """Whether p generates the multiplicative group mod the prime q."""
-    if not is_prime(q):
-        raise DomainError(f"q must be prime, got {q}")
-    if p % q == 0:
-        return False
-    order = q - 1
-    n, f = order, 2
-    factors = set()
-    while f * f <= n:
-        while n % f == 0:
-            factors.add(f)
-            n //= f
-        f += 1
-    if n > 1:
-        factors.add(n)
-    return all(pow(p, order // f, q) != 1 for f in factors)

@@ -22,19 +22,6 @@ class InvalidAssignmentError(ValueError):
     """A multiplicity collapsed to 0 mod q, or fell outside {1, .., q-1}."""
 
 
-def node_residue(nu_i: int, nu_j: int, q: int) -> int:
-    """The unique 0 < a < q with nu_i * a + nu_j = 0 (mod q).
-
-    Swapping the two multiplicities replaces a by its inverse mod q; the
-    node invariants c and l are insensitive to the swap.
-    """
-    if not is_prime(q):
-        raise DomainError(f"q must be prime, got {q}")
-    if not (0 < nu_i < q and 0 < nu_j < q):
-        raise InvalidAssignmentError(f"multiplicities {nu_i}, {nu_j} not in (0, {q})")
-    return (-nu_j * pow(nu_i, -1, q)) % q
-
-
 class NegatedInverses(dict):
     """q - nu^-1 mod q by multiplicity nu, computed on first lookup."""
 
@@ -91,9 +78,11 @@ class BranchAssignment:
 
     def residues(self, config: ResolvedConfiguration) -> Iterator[tuple[tuple[str, str, int], int]]:
         """(node, residue) for every node of the configuration, in node
-        order and computed as the iterator is consumed; each equals
-        `node_residue` at its node: the residue of a node (i, j) is
-        nu_j * (q - nu_i^-1) mod q, with q - nu^-1 memoised by multiplicity."""
+        order and computed as the iterator is consumed. The residue of a
+        node (i, j) is the unique 0 < a < q with nu_i * a + nu_j = 0 (mod q),
+        that is nu_j * (q - nu_i^-1) mod q, with q - nu^-1 memoised by
+        multiplicity. Swapping the ends replaces a by its inverse mod q,
+        which leaves the node invariants c and l unchanged."""
         q = self.q
         if not is_prime(q):
             raise DomainError(f"q must be prime, got {q}")

@@ -23,7 +23,6 @@ from chernslope.geometry import (
 from chernslope.numtheory import (
     dedekind_data,
     dedekind_sum,
-    dedekind_sum_direct,
     hj_length,
     is_prime,
     next_prime,
@@ -31,15 +30,10 @@ from chernslope.numtheory import (
 )
 from chernslope.partitions import NotFound, PartitionProblem, search_assignment
 from chernslope.pipeline import run_pipeline
-from chernslope.prank import (
-    CyclicCoverData,
-    genus,
-    genus_via_cohomology,
-    is_primitive_root,
-    prank_upper_bound,
-)
+from chernslope.prank import CyclicCoverData, genus, prank_upper_bound
 from chernslope.nefcheck import closed_entries, config_entries, min_nef_q
 from chernslope.rootcover import chern_of_cover, defect_bound
+from oracles import dedekind_sum_direct, genus_via_cohomology, is_primitive_root
 
 # Assignments and cover invariants shared between criteria 5, 7 and 8.
 _COVERS: list = []

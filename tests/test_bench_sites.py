@@ -4,6 +4,7 @@
 callers look up at call time; a refactor that drops one of those names
 would crash the benchmark, so it fails here instead.
 """
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -31,3 +32,18 @@ def sites():
                          ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_call_site_resolves(module, attr):
     assert callable(getattr(module, attr, None))
+
+
+def test_every_definition_is_used_or_hooked():
+    # a function, class or method that nothing under src/ names and no
+    # benchmark hook reads is dead code, or an oracle that belongs in tests/
+    src = Path(__file__).resolve().parents[1] / "src" / "chernslope"
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    hooked = {attr for _module, attr in sites()}
+    dunder = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    assert sorted(defined - used - hooked - dunder) == []

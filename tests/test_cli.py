@@ -136,6 +136,11 @@ class TestPrank:
         assert out["primitive_root"] is True
         assert out["B"] == 0
 
+    def test_non_primitive_root(self):
+        proc = run_cli("prank", "--q", "17", "--p", "2", "--mults", "1,2,14")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["primitive_root"] is False  # 2^8 = 1 mod 17
+
 
 class TestNef:
     def test_find_threshold(self):
@@ -143,6 +148,21 @@ class TestNef:
         out = json.loads(proc.stdout)
         assert out["min_nef_q"] == 17
         assert out["all_nonnegative"] is True
+
+
+class TestLargeModulus:
+    NEF = ("nef", "--family", "A", "--d", "3", "--u", "1", "--w", "1", "--q")
+
+    def test_primality_of_a_large_q_is_decided_in_bounded_time(self):
+        proc = run_cli(*self.NEF, str(10**18 + 3), timeout=10)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["q"] == 10**18 + 3
+
+    def test_q_beyond_the_exact_primality_range_exits_2(self):
+        proc = run_cli(*self.NEF, str(3_317_044_064_679_887_385_961_981))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestSweep:

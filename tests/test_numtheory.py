@@ -11,12 +11,15 @@ from chernslope.numtheory import (
     ceil_isqrt,
     dedekind_data,
     dedekind_sum,
-    dedekind_sum_direct,
     hj_length,
     is_prime,
     next_prime,
     primes_between,
 )
+from oracles import dedekind_sum_direct, hj_value, is_prime_trial
+
+# psi_13 (Sorenson-Webster 2017): Miller-Rabin with bases 2..41 is exact below it
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def coprime_pairs(q_max):
@@ -40,7 +43,7 @@ class TestHirzebruchJung:
 
     def test_evaluate_reconstructs_fraction(self):
         for q, a in coprime_pairs(40):
-            assert dedekind_data(q, a).evaluate() == Fraction(q, a)
+            assert hj_value(dedekind_data(q, a).digits) == Fraction(q, a)
 
     @given(st.integers(min_value=2, max_value=500), st.data())
     def test_digits_at_least_two(self, q, data):
@@ -49,7 +52,7 @@ class TestHirzebruchJung:
             return
         exp = dedekind_data(q, a)
         assert all(d >= 2 for d in exp.digits)
-        assert exp.evaluate() == Fraction(q, a)
+        assert hj_value(exp.digits) == Fraction(q, a)
 
     def test_rejects_noncoprime(self):
         with pytest.raises(DomainError):
@@ -119,6 +122,26 @@ class TestPrimeHelpers:
         assert [n for n in range(2, 30) if is_prime(n)] == [
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
         ]
+
+    def test_is_prime_matches_trial_division(self):
+        assert [n for n in range(10**5 + 1) if is_prime(n)] == \
+            [n for n in range(10**5 + 1) if is_prime_trial(n)]
+
+    @pytest.mark.parametrize("n", [
+        3_215_031_751,                    # strong pseudoprime to bases 2, 3, 5, 7
+        3_825_123_056_546_413_051,        # strong pseudoprime to bases 2..31
+        318_665_857_834_031_151_167_461,  # psi_12: passes bases 2..37, base 41 catches it
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 10**18 + 3])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_undecided_above_psi_13(self):
+        with pytest.raises(DomainError):
+            is_prime(PSI_13)
 
     def test_next_prime(self):
         assert next_prime(17) == 17

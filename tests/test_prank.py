@@ -8,11 +8,10 @@ from chernslope.prank import (
     CyclicCoverData,
     frobenius_orbits,
     genus,
-    genus_via_cohomology,
     h1_dim,
-    is_primitive_root,
     prank_upper_bound,
 )
+from oracles import genus_via_cohomology, is_primitive_root
 
 
 def random_branch_data(rng, q, p, l):
@@ -70,6 +69,13 @@ class TestFrobeniusOrbits:
     def test_non_primitive_root(self):
         assert not is_primitive_root(2, 17)  # 2^8 = 256 = 1 mod 17
         assert len(frobenius_orbits(17, 2)) > 1
+
+    def test_single_orbit_exactly_for_primitive_roots(self):
+        # the `prank` report reads primitive_root off the orbit count
+        pairs = [(p, q) for p in primes_between(2, 23) for q in primes_between(2, 1199) if p != q]
+        assert len(pairs) == 1755
+        for p, q in pairs:
+            assert (len(frobenius_orbits(q, p)) == 1) is is_primitive_root(p, q), (p, q)
 
 
 class TestPRankBound:

@@ -15,8 +15,8 @@ from chernslope.rootcover import (
     InvalidAssignmentError,
     chern_of_cover,
     defect_bound,
-    node_residue,
 )
+from oracles import node_residue
 
 
 @pytest.fixture(scope="module")
