@@ -445,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # bad input, the library's errors included
         _log(f"error: {exc}")
         return EXIT_INVALID
+    except MemoryError:  # an input too large to hold, such as an O(q) table at huge q
+        _log("error: out of memory for this input")
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ that order.
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -299,10 +300,45 @@ class NodeImages:
         return int(bits.translate(_BINARY_DIGITS)[::-1], 2)
 
 
-def _set_bits(x: int) -> list[int]:
-    """Positions of the set bits of x >= 0, ascending."""
-    digits = bin(x)[:1:-1]
-    return [i for i, c in enumerate(digits) if c == "1"]
+def _reach_step(cur: int, sol: int, target: int) -> int:
+    """The bitset of sums x + v <= target, x in cur (within [0, target]) and
+    v in sol (nonempty). Once bit `target` of cur is set, cur is
+    low | [lo, target] and the sums cover [lo + min(sol), target]: only low
+    is shifted, and only by the values below that interval (or below
+    target + 1, if it is empty)."""
+    mask = (1 << (target + 1)) - 1
+    nxt = 0
+    if cur >> target:
+        lo = (cur ^ mask).bit_length()
+        edge = min(lo + (sol & -sol).bit_length() - 1, target + 1)
+        nxt = mask >> edge << edge
+        cur &= (1 << lo) - 1
+        sol &= (1 << edge) - 1
+    for v, bit in enumerate(bin(sol)[:1:-1]):
+        if bit == "1":
+            nxt |= cur << v
+    return nxt & mask
+
+
+def _order(rng: random.Random, q: int) -> array:
+    """`rng.sample(range(1, q), q - 1)` as an array, drawn inline: the same
+    `getrandbits` calls (randbelow's rejection loop on m = q-1, .., 1, then
+    the pool swap), so the same permutation and the same generator state."""
+    pool = list(range(1, q))
+    getrandbits = rng.getrandbits
+    m = q - 1
+    k = m.bit_length()
+    low = 1 << k >> 1
+    while m:
+        j = getrandbits(k)
+        if j < m:
+            m -= 1
+            pool[j], pool[m] = pool[m], pool[j]
+            if m < low:
+                k -= 1
+                low >>= 1
+    pool.reverse()
+    return array("q", pool)
 
 
 def search_assignment(
@@ -321,17 +357,17 @@ def search_assignment(
     constrained independently of the others except through the sum-to-q
     equation.
 
-    One table, form[c] = (alpha, beta), says that component c's
-    multiplicity is alpha*v + beta in the current step's unknown v (a fixed
-    component is (0, value)). Both phases read a node's two ends from it and
-    the node's feasible values from one memoised `NodeImages` bitset owned
-    by this call. Phase 1 runs a depth-first search over the few section
-    unknowns (`_section_steps`): entering a step, it intersects the images
-    of the section-section nodes the step completes and tries the step's
-    candidates against that mask.
-    Phase 2 intersects, per fiber, the images of that fiber's nodes, keeps
-    values 1..cap with nonzero chain multiplicities, and solves the
-    remaining sum constraint by a bitset subset-sum sweep over the fibers.
+    Both phases read a node's feasible values from one memoised `NodeImages`
+    bitset owned by this call. Phase 1 runs a depth-first search over the
+    few section unknowns (`_section_steps`); a section-section node's image
+    is computed ahead, when the earlier of its steps sets its value, into
+    the later step's mask, and each step tries its seeded order (`_order`,
+    cut below the power of two above its bound) against its mask.
+    Phase 2 reads node ends from one table, form[c] = (alpha, beta): c's
+    multiplicity is alpha*v + beta in the current unknown v. It intersects,
+    per fiber, the images of that fiber's nodes, keeps values 1..cap with
+    nonzero chain multiplicities, and solves the remaining sum constraint by
+    a bitset subset-sum sweep over the fibers (`_reach_step`).
 
     One attempt is one phase-1 candidate tried (passing or not) or one
     phase-2 node image intersected; each of 8 seeded restarts gets a slice
@@ -349,32 +385,31 @@ def search_assignment(
     paired = cfg.family is Family.APRIME
     allowed = residue_rule(cfg, q)
     images = NodeImages(q)
+    memo = images._memo  # hits are read here; `images` computes the misses
     steps = _section_steps(problem)
     n_steps = len(steps)
-
-    pos: dict[str, int] = {}
-    for idx, step in enumerate(steps):
-        for comp in step:
-            if comp is not None:
-                pos[comp] = idx
+    pos = {comp: idx for idx, (comp, _partner) in enumerate(steps)}
 
     # Fibers in component order, R1..Rw before F1..F_delta (the sampler
     # draws them the other way round); the seeded value orders index into it.
     fiber_ids = cfg.fiber_ids[params.delta:] + cfg.fiber_ids[:params.delta]
     tangency_of = {tang.fiber: tang for tang in cfg.tangencies}
 
-    # Split nodes: section-section ones are checkable during phase 1 (staged
-    # by the later of the two section steps); every other node touches one
-    # fiber and joins that fiber's phase-2 constraint set. Each is kept as
-    # (residue rule, first end, second end).
-    stage_nodes: list[list[tuple[Rule, str, str]]] = [[] for _ in range(n_steps)]
+    # A node touching no fiber must join an earlier step's component, at v,
+    # to a later one's, at (1, 0): the earlier step keeps it as (later step,
+    # rule, whether its first end is the earlier one). Every other node joins
+    # its fiber's phase-2 constraints as (rule, first end, second end).
+    ahead: list[list[tuple[int, Rule, bool]]] = [[] for _ in range(n_steps)]
     fiber_nodes: dict[str, list[tuple[Rule, str, str]]] = {f: [] for f in fiber_ids}
     for node, fiber in zip(cfg.nodes, cfg.node_fibers):
         i, j, _count = node
-        if fiber is None:
-            stage_nodes[max(pos[i], pos[j])].append((allowed(node), i, j))
-        else:
+        if fiber is not None:
             fiber_nodes[fiber].append((allowed(node), i, j))
+        elif i in pos and j in pos and pos[i] != pos[j]:
+            early, late = sorted((pos[i], pos[j]))
+            ahead[early].append((late, allowed(node), pos[i] == early))
+        else:
+            raise ValueError(f"section node {node} does not join the components of two search steps")
 
     attempts = 0
     n_y = len(fiber_ids)
@@ -414,9 +449,9 @@ def search_assignment(
                 attempts += 1
                 if attempts > budget_cap:
                     return False
-                a1, b1 = form[i]
-                a2, b2 = form[j]
-                sol &= images(rule, a1, b1, a2, b2)
+                key = (rule, *form[i], *form[j])
+                img = memo.get(key)
+                sol &= images(*key) if img is None else img
                 if not sol:
                     return False
             # values 1..cap at which the chain's multiplicities stay nonzero
@@ -426,20 +461,15 @@ def search_assignment(
             if not sol:
                 return False
             feasible.append(sol)
-        mask = (1 << (target + 1)) - 1
         reach = [1]
         for sol in feasible:
-            cur = reach[-1]
-            nxt = 0
-            for v in _set_bits(sol):
-                nxt |= cur << v
-            nxt &= mask
+            nxt = _reach_step(reach[-1], sol, target)
             if nxt == 0:
                 return False
             reach.append(nxt)
         if not (reach[-1] >> target) & 1:
             return False
-        orders_y = [rng.sample(range(1, q), q - 1) for _ in range(n_y)]
+        orders_y = [_order(rng, q) for _ in range(n_y)]
         s = target
         for t in range(n_y - 1, -1, -1):
             prev = reach[t]
@@ -454,28 +484,29 @@ def search_assignment(
         assert s == 0
         return True
 
-    def dfs(idx: int, s: int) -> bool:
-        """Phase 1 from step `idx`, where s sums the earlier steps' values."""
+    def dfs(idx: int, s: int, pending: list[int]) -> bool:
+        """Phase 1 from step `idx`, where s sums the earlier steps' values
+        and pending[k] is the mask the earlier steps' values leave step k."""
         nonlocal attempts
-        if idx == n_steps:
-            return solve_fibers(s)
         comp, partner = steps[idx]
         hi = (q - weight * (s + n_steps - idx - 1) - reserve) // weight
         beta = 0 if paired else -s
-        form[comp] = (1, 0)
-        if partner is not None:
-            form[partner] = (q - 1, beta % q)
         # Every candidate and every fixed section lies in 1..q-1, and so does
         # the partner (beta - v) mod q: APRIME has beta = 0, and in A0/A
         # v <= hi gives weight*(s + v) <= q - reserve with weight = e*p^r >= 2,
         # so 0 < s + v < q. No node end vanishes: the images alone decide.
-        mask = images.full
-        for rule, i, j in stage_nodes[idx]:
-            a1, b1 = form[i]
-            a2, b2 = form[j]
-            mask &= images(rule, a1, b1, a2, b2)
-        # APRIME's pair values sum to q, so its last one is forced (hi = q - s)
-        values = (hi,) if paired and idx == n_steps - 1 else orders[idx]
+        mask = pending[idx]
+        last = idx == n_steps - 1
+        if paired and last:
+            values = (hi,)  # APRIME's pair values sum to q: the last one is forced
+        else:
+            # the order cut to the values below the power of two above hi,
+            # built once per restart and bit length of hi
+            cut = (idx, hi.bit_length())
+            values = below.get(cut)
+            if values is None:
+                lim = 1 << cut[1]
+                values = below[cut] = orders[idx] if lim >= q else [v for v in orders[idx] if v < lim]
         for v in values:
             if v > hi:
                 continue
@@ -487,7 +518,18 @@ def search_assignment(
             form[comp] = (0, v)
             if partner is not None:
                 form[partner] = (0, (beta - v) % q)
-            if dfs(idx + 1, s + v):
+            if last:
+                found = solve_fibers(s + v)
+            else:
+                nxt = pending
+                if ahead[idx]:
+                    nxt = pending.copy()
+                    for later, rule, first in ahead[idx]:
+                        key = (rule, 0, v, 1, 0) if first else (rule, 1, 0, 0, v)
+                        img = memo.get(key)
+                        nxt[later] &= images(*key) if img is None else img
+                found = dfs(idx + 1, s + v, nxt)
+            if found:
                 return True
             if attempts > budget_cap:
                 return False
@@ -502,10 +544,11 @@ def search_assignment(
     slice_budget = max(1, node_budget // restarts)
     for restart in range(restarts):
         rng = random.Random(f"search:{seed}:{restart}")
-        orders = [rng.sample(range(1, q), q - 1) for _ in range(n_steps)]
+        orders = [_order(rng, q) for _ in range(n_steps)]
+        below: dict[tuple[int, int], Iterable[int]] = {}
         start = attempts
         budget_cap = min(node_budget, attempts + slice_budget)
-        if dfs(0, 0):
+        if dfs(0, 0, [images.full] * n_steps):
             return BranchAssignment.from_base(cfg, q, {c: form[c][1] for c in cfg.base_ids})
         if attempts >= node_budget:
             break

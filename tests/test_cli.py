@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -140,6 +141,17 @@ class TestPrank:
         proc = run_cli("prank", "--q", "17", "--p", "2", "--mults", "1,2,14")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["primitive_root"] is False  # 2^8 = 1 mod 17
+
+    def test_out_of_memory_exits_2(self):
+        # the q-long Frobenius table cannot be allocated: one error line, no
+        # traceback. The address-space limit keeps a failure from eating memory.
+        limit = 1 << 30
+        proc = run_cli("prank", "--q", "1000000000000000003", "--p", "3",
+                       "--mults", "1,1000000000000000002", timeout=60,
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestNef:

@@ -1,17 +1,19 @@
 """Randomized and backtracking searches for good branch assignments."""
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chernslope import cli, partitions, pipeline
@@ -461,6 +463,107 @@ class TestBacktrackingSearch:
             assert after == before
             images = made[-1]
             assert len(images._memo) <= 3 < len(images.keys)
+
+    @pytest.mark.parametrize("params", [
+        ArrangementParams(Family.A0, p=2, r=1, e=1, d=3),
+        ArrangementParams(Family.A0, p=3, r=1, e=2, d=4, g=1),
+        ArrangementParams(Family.A, p=2, r=1, e=1, d=4, u=2, w=1),
+        ArrangementParams(Family.A, p=3, r=2, e=1, d=3, u=1, w=2),
+        ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=6),
+        ArrangementParams(Family.APRIME, p=3, r=1, e=2, d=4),
+    ], ids=lambda p: f"{p.family.value}-p{p.p}-r{p.r}-e{p.e}-d{p.d}-u{p.u}")
+    def test_section_nodes_join_two_steps(self, params):
+        # the set-up check passes on the built configurations
+        config = build_resolution(params)
+        q = next(q for q in primes_between(partitions.min_feasible_q(params), 10_000)
+                 if q != params.p)
+        result = search_assignment(PartitionProblem(config, q), seed=0, node_budget=1)
+        assert isinstance(result, NotFound)
+
+    # S2 and S4 are the partners of the steps (S1, S2) and (S3, S4)
+    @pytest.mark.parametrize("node", [("S2", "S4", 1), ("S1", "S2", 1), ("S3", "S3", 1)])
+    def test_section_node_off_two_steps_is_refused(self, paired_config, node):
+        config = dataclasses.replace(paired_config, nodes=paired_config.nodes + (node,),
+                                     node_fibers=paired_config.node_fibers + (None,))
+        with pytest.raises(ValueError, match=re.escape(repr(node))):
+            search_assignment(PartitionProblem(config, 499), seed=0)
+
+    def test_section_nodes_obey_a_rule_not_closed_under_inverses(self, monkeypatch,
+                                                                 family_a_config):
+        # the real rules are closed under a -> 1/a, so they cannot tell a
+        # section node's ends apart; this one bans 0 and 2..q/4
+        q = 101
+        rule = (False, frozenset(range(2, q // 4)) | {0})
+        monkeypatch.setattr(partitions, "residue_rule", lambda config, q: lambda node: rule)
+        for seed in range(6):
+            result = search_assignment(PartitionProblem(family_a_config, q), seed=seed)
+            assert verify_asymptotic(family_a_config, result).ok
+
+
+class TestSeededOrder:
+    class Subclassed(random.Random):
+        pass
+
+    @pytest.mark.parametrize("q", [2, 3, 41, 2887])
+    @pytest.mark.parametrize("seed", [0, 1, 7, "search:0:3"])
+    @pytest.mark.parametrize("make", [random.Random, Subclassed], ids=["Random", "subclass"])
+    def test_matches_random_sample(self, make, seed, q):
+        # the same permutation, and the generator left in the same state
+        drawn, sampled = make(seed), make(seed)
+        order = partitions._order(drawn, q)
+        assert list(order) == sampled.sample(range(1, q), q - 1)
+        assert drawn.getrandbits(64) == sampled.getrandbits(64)
+
+
+def plain_reach_step(cur, sol, target):
+    """One subset-sum step by one shift per value of sol (reference)."""
+    nxt = 0
+    for v in range(sol.bit_length()):
+        if (sol >> v) & 1:
+            nxt |= cur << v
+    return nxt & ((1 << (target + 1)) - 1)
+
+
+@st.composite
+def reach_steps(draw):
+    """(cur, sol, target): cur within [0, target], saturated (low | [lo,
+    target]) or with bit target clear; sol nonempty, possibly reaching
+    above target."""
+    target = draw(st.integers(0, 160))
+    low = draw(st.integers(0, (1 << (target + 1)) - 1))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, target))
+        cur = (low & ((1 << lo) - 1)) | (((1 << (target + 1)) - 1) >> lo << lo)
+    else:
+        cur = low & ((1 << target) - 1)
+    sol = draw(st.integers(1, (1 << draw(st.integers(1, target + 40))) - 1))
+    return cur, sol, target
+
+
+class TestReachStep:
+    @given(reach_steps())
+    @example((0b1111, 0b10000, 3))        # lo + min(sol) = 4 = target + 1: no interval
+    @example((0b11100101, 0b10000, 7))    # lo + min(sol) = 9: the edge is clamped to 8
+    @example((0b11100101, 0b1000100, 7))  # lo + min(sol) = 7: the interval is {7}
+    @example((0b11110101, 0b110, 7))      # low shifts by the values below lo + min(sol)
+    @example((0b01110101, 0b110, 7))      # bit target clear: the plain loop
+    @example((1, 1, 0))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_plain_shift_loop(self, case):
+        assert partitions._reach_step(*case) == plain_reach_step(*case)
+
+    def test_saturated_branch_runs_in_a_pinned_search(self, monkeypatch, paired_config):
+        saturated = []
+        reach_step = partitions._reach_step
+
+        def recording(cur, sol, target):
+            saturated.append(cur >> target)
+            return reach_step(cur, sol, target)
+
+        monkeypatch.setattr(partitions, "_reach_step", recording)
+        result = search_assignment(PartitionProblem(paired_config, 97), seed=0)
+        assert nus_digest(result) == "723812220539d5bc"
+        assert sum(saturated) > 0
 
 
 def compositions(total, parts):
