@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import ArrangementParams, Family, ResolvedConfiguration, build_resolution
-from .numtheory import DomainError, is_prime
+from .numtheory import DomainError, check_prime_q, is_prime
 
 
-def _t_value(params: ArrangementParams, q: int) -> Fraction:
+def t_value(params: ArrangementParams, q: int) -> Fraction:
     """Coefficient of the general fiber class in M's decomposition."""
     em = params.e * params.chain_length
     d, g, delta = params.d, params.g, params.delta
@@ -28,11 +28,10 @@ def _t_value(params: ArrangementParams, q: int) -> Fraction:
 
 def closed_entries(params: ArrangementParams, q: int) -> dict[str, Fraction]:
     """Closed-form intersection values, keyed by curve-class label."""
-    if not is_prime(q) or q == params.p:
-        raise DomainError(f"q must be a prime different from p, got {q}")
+    check_prime_q(q, params.p)
     em = params.e * params.chain_length
     d, g, u, w, delta = params.d, params.g, params.u, params.w, params.delta
-    t = _t_value(params, q)
+    t = t_value(params, q)
     entries: dict[str, Fraction] = {}
     if params.family is Family.APRIME:
         entries["K.Sbar_i"] = (
@@ -63,8 +62,7 @@ def closed_entries(params: ArrangementParams, q: int) -> dict[str, Fraction]:
 def config_entries(config: ResolvedConfiguration, q: int) -> dict[str, Fraction]:
     """The same labels recomputed from the census: for each branch
     component C, (1/q)(q(2g - 2 - C^2) + (q - 1)(C^2 + incidences))."""
-    if not is_prime(q) or q == config.params.p:
-        raise DomainError(f"q must be a prime different from p, got {q}")
+    check_prime_q(q, config.params.p)
     params = config.params
     m = params.chain_length
     # H1..Hu: the sections after the d tangent ones (kind "section" too)
@@ -127,7 +125,7 @@ def nef_report(params: ArrangementParams, q: int) -> NefReport:
         q=q,
         entries=closed_entries(params, q),
         config_entries=config_entries(build_resolution(params), q),
-        t_value=_t_value(params, q),
+        t_value=t_value(params, q),
     )
 
 

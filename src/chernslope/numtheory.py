@@ -61,6 +61,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime_q(q: int, p: int) -> None:
+    """Raise DomainError unless q is a prime other than the characteristic p."""
+    if not is_prime(q) or q == p:
+        raise DomainError(f"q must be a prime different from p, got {q}")
+
+
 def next_prime(n: int) -> int:
     """Smallest prime >= n."""
     k = max(n, 2)

@@ -26,7 +26,7 @@ from itertools import islice
 from . import badset
 from .badset import good_residues  # noqa: F401
 from .geometry import Family, ResolvedConfiguration
-from .numtheory import DomainError, is_prime
+from .numtheory import DomainError, check_prime_q
 from .rootcover import BranchAssignment, InvalidAssignmentError, NegatedInverses
 
 
@@ -44,8 +44,7 @@ class PartitionProblem:
     q: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.q) or self.q == self.config.params.p:
-            raise DomainError(f"q must be a prime different from p, got {self.q}")
+        check_prime_q(self.q, self.config.params.p)
         if self.q < min_feasible_q(self.config.params):
             raise DomainError(f"q = {self.q} is infeasible for these parameters")
 
@@ -230,19 +229,20 @@ _IMAGE_MEMO_BITS = 1 << 26
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-class NodeImages:
-    """Memoised residue images of nodes whose ends are linear in one unknown.
+class NodeImages(dict):
+    """Residue images of nodes linear in one unknown, computed on first lookup.
 
     A node whose two end multiplicities are a1*v + b1 and a2*v + b2 (mod q)
     in an unknown v has the image
 
         {v in Z/q : some allowed a has a*(a1*v + b1) + (a2*v + b2) = 0},
 
-    for a rule (allow, listed) from `residue_rule`, held as an int with bit
-    v set. It includes every v at which both ends vanish, since every a
-    then works. Shifting v by t = b1/a1 (or b2/a2 when a1 = 0) turns the
-    image into a bit rotation of the image of (a1, b1 - a1*t, a2, b2 - a2*t),
-    so nodes that differ by a translation of v share one evaluation.
+    for a rule (allow, listed) from `residue_rule`, held under the key
+    (rule, a1, b1, a2, b2) as an int with bit v set. It includes every v at
+    which both ends vanish, since every a then works. Shifting v by
+    t = b1/a1 (or b2/a2 when a1 = 0) turns the image into a bit rotation of
+    the image of (a1, b1 - a1*t, a2, b2 - a2*t), so nodes that differ by a
+    translation of v share one evaluation.
 
     An evaluation costs one step per residue in the rule's `listed` set
     (the full turn at an exempt node, F and 0 elsewhere), not one per v:
@@ -252,26 +252,23 @@ class NodeImages:
     """
 
     def __init__(self, q: int) -> None:
+        super().__init__()
         self.q = q
         self.full = (1 << q) - 1
         self._neg_inv = NegatedInverses(q)
-        self._memo: dict[tuple, int] = {}
 
-    def __call__(self, rule: Rule, a1: int, b1: int, a2: int, b2: int) -> int:
-        key = (rule, a1, b1, a2, b2)
-        img = self._memo.get(key)
-        if img is not None:
-            return img
+    def __missing__(self, key: tuple[Rule, int, int, int, int]) -> int:
+        rule, a1, b1, a2, b2 = key
         q, neg_inv = self.q, self._neg_inv
         t = -b1 * neg_inv[a1] % q if a1 else -b2 * neg_inv[a2] % q if a2 else 0
         if t:
-            base = self(rule, a1, (b1 - a1 * t) % q, a2, (b2 - a2 * t) % q)
+            base = self[rule, a1, (b1 - a1 * t) % q, a2, (b2 - a2 * t) % q]
             img = ((base >> t) | (base << (q - t))) & self.full
         else:
-            img = self._evaluate(rule, a1, b1, a2, b2)
-        if (len(self._memo) + 1) * q > _IMAGE_MEMO_BITS:
-            self._memo.clear()
-        self._memo[key] = img
+            img = self._evaluate(*key)
+        if (len(self) + 1) * q > _IMAGE_MEMO_BITS:
+            self.clear()
+        self[key] = img
         return img
 
     def _evaluate(self, rule: Rule, a1: int, b1: int, a2: int, b2: int) -> int:
@@ -305,7 +302,9 @@ def _reach_step(cur: int, sol: int, target: int) -> int:
     v in sol (nonempty). Once bit `target` of cur is set, cur is
     low | [lo, target] and the sums cover [lo + min(sol), target]: only low
     is shifted, and only by the values below that interval (or below
-    target + 1, if it is empty)."""
+    target + 1, if it is empty). Otherwise the sparser of cur and sol is
+    the one iterated: the sums are symmetric, so the first step, from
+    cur = 1, is one shift."""
     mask = (1 << (target + 1)) - 1
     nxt = 0
     if cur >> target:
@@ -314,6 +313,8 @@ def _reach_step(cur: int, sol: int, target: int) -> int:
         nxt = mask >> edge << edge
         cur &= (1 << lo) - 1
         sol &= (1 << edge) - 1
+    elif cur.bit_count() < sol.bit_count():
+        cur, sol = sol, cur
     for v, bit in enumerate(bin(sol)[:1:-1]):
         if bit == "1":
             nxt |= cur << v
@@ -385,7 +386,6 @@ def search_assignment(
     paired = cfg.family is Family.APRIME
     allowed = residue_rule(cfg, q)
     images = NodeImages(q)
-    memo = images._memo  # hits are read here; `images` computes the misses
     steps = _section_steps(problem)
     n_steps = len(steps)
     pos = {comp: idx for idx, (comp, _partner) in enumerate(steps)}
@@ -449,9 +449,7 @@ def search_assignment(
                 attempts += 1
                 if attempts > budget_cap:
                     return False
-                key = (rule, *form[i], *form[j])
-                img = memo.get(key)
-                sol &= images(*key) if img is None else img
+                sol &= images[(rule, *form[i], *form[j])]
                 if not sol:
                     return False
             # values 1..cap at which the chain's multiplicities stay nonzero
@@ -472,13 +470,8 @@ def search_assignment(
         orders_y = [_order(rng, q) for _ in range(n_y)]
         s = target
         for t in range(n_y - 1, -1, -1):
-            prev = reach[t]
-            chosen = None
-            for v in orders_y[t]:
-                if v <= s and (feasible[t] >> v) & 1 and (prev >> (s - v)) & 1:
-                    chosen = v
-                    break
-            assert chosen is not None
+            chosen = next(v for v in orders_y[t]
+                          if v <= s and (feasible[t] >> v) & 1 and (reach[t] >> (s - v)) & 1)
             form[fiber_ids[t]] = (0, chosen)
             s -= chosen
         assert s == 0
@@ -525,9 +518,7 @@ def search_assignment(
                 if ahead[idx]:
                     nxt = pending.copy()
                     for later, rule, first in ahead[idx]:
-                        key = (rule, 0, v, 1, 0) if first else (rule, 1, 0, 0, v)
-                        img = memo.get(key)
-                        nxt[later] &= images(*key) if img is None else img
+                        nxt[later] &= images[(rule, 0, v, 1, 0) if first else (rule, 1, 0, 0, v)]
                 found = dfs(idx + 1, s + v, nxt)
             if found:
                 return True

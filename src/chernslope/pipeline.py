@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 from . import density
 from .geometry import Family, ResolvedConfiguration, build_resolution, component_count, node_count
-from .nefcheck import closed_entries, _t_value
-from .numtheory import DomainError, next_prime
+from .nefcheck import closed_entries, t_value
+from .numtheory import DomainError, check_prime_q, next_prime
 from .partitions import (
     NotFound,
     PartitionProblem,
@@ -149,7 +149,9 @@ def run_pipeline(
     # prime search there; if neither the sampler nor the deterministic
     # backtracking search lands an assignment, double q and retry. A cover
     # whose slope misses the target by epsilon or more escalates like a
-    # failed search. A pinned q is tried alone.
+    # failed search. A pinned q is tried alone, and only an unpinned q = p steps on.
+    if q_hint is not None:
+        check_prime_q(q_hint, p)
     q = q_hint if q_hint is not None else next_prime(max(17, min_feasible_q(params), t2))
     attempts_log: list[dict] = []
     for escalation in range(1 if q_hint is not None else 6):
@@ -200,7 +202,7 @@ def run_pipeline(
         "slope_vs_limit_approx": abs(float(cover.slope) - float(limit)),
         "nef": {
             "all_nonnegative": all(v >= 0 for v in nef.values()),
-            "t_value": _t_value(params, q),
+            "t_value": t_value(params, q),
         },
     }
     if status == "off_target":

@@ -3,9 +3,12 @@ import contextlib
 import csv
 import io
 import json
+import re
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -128,6 +131,16 @@ class TestSlope:
 
     def test_reproducible(self, aprime_slope):
         assert aprime_slope.stdout == run_cli(*APRIME_SLOPE).stdout
+
+    @pytest.mark.parametrize("p", ["17", "3"])
+    def test_pinned_q_equal_to_p_exits_2(self, capsys, p):
+        # a pinned q is tried as given, never stepped to the next prime
+        args = ["slope", "--target", "2", "--eps", "1", "--family", "APRIME",
+                "--p", p, "--q-hint", p]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"error: q must be a prime different from p, got {p}\n"
+        # a report that samples nothing never reads q
+        assert cli.main(args + ["--no-sample"]) == 0
 
 
 class TestPrank:
@@ -353,3 +366,21 @@ class TestConfigFile:
         proc = run_cli("--config", str(cfg), "dedekind")
         assert proc.returncode == 2
         assert proc.stderr == "error: unknown config key 'bogus_key'\n"
+
+
+def readme_examples():
+    """The `chernslope ...` lines of README.md's sh blocks, as argument lists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("chernslope ")]
+
+
+class TestReadmeExamples:
+    def test_readme_has_examples(self):
+        assert len(readme_examples()) >= 9
+
+    @pytest.mark.parametrize("args", readme_examples(), ids=lambda args: " ".join(args))
+    def test_example_exits_0(self, capsys, args):
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out

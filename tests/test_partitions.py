@@ -441,28 +441,45 @@ class TestBacktrackingSearch:
             assert isinstance(result, NotFound)
             assert result.tries == tries
 
-    def test_memo_eviction_is_invisible(self, monkeypatch, paired_config, family_a_d4_config):
-        cases = [(paired_config, 499, 0), (family_a_d4_config, 47, 0)]
-        expected = [search_assignment(PartitionProblem(c, q), seed=s) for c, q, s in cases]
+    @staticmethod
+    def recording_images(monkeypatch):
+        """Make the search build NodeImages that log each key they miss;
+        returns the list the searches' memos are appended to."""
         made = []
 
         class Recording(NodeImages):
             def __init__(self, q):
                 super().__init__(q)
-                self.keys = set()
+                self.misses = []
                 made.append(self)
 
-            def __call__(self, *key):
-                self.keys.add(key)
-                return super().__call__(*key)
+            def __missing__(self, key):
+                self.misses.append(key)
+                return super().__missing__(key)
 
         monkeypatch.setattr(partitions, "NodeImages", Recording)
+        return made
+
+    def test_memo_eviction_is_invisible(self, monkeypatch, paired_config, family_a_d4_config):
+        cases = [(paired_config, 499, 0), (family_a_d4_config, 47, 0)]
+        expected = [search_assignment(PartitionProblem(c, q), seed=s) for c, q, s in cases]
+        made = self.recording_images(monkeypatch)
         for (config, q, seed), before in zip(cases, expected):
             monkeypatch.setattr(partitions, "_IMAGE_MEMO_BITS", 3 * q)
             after = search_assignment(PartitionProblem(config, q), seed=seed)
             assert after == before
             images = made[-1]
-            assert len(images._memo) <= 3 < len(images.keys)
+            assert len(images) <= 3 < len(images.misses)
+
+    def test_each_key_misses_once_without_eviction(self, monkeypatch, paired_config,
+                                                    family_a_d4_config):
+        # every lookup goes through the memo: a key is computed on its first
+        # lookup only, and the search's many repeat lookups are plain hits
+        made = self.recording_images(monkeypatch)
+        for config, q in [(paired_config, 499), (family_a_d4_config, 47)]:
+            search_assignment(PartitionProblem(config, q), seed=0)
+            images = made[-1]
+            assert len(images.misses) == len(set(images.misses)) == len(images) > 0
 
     @pytest.mark.parametrize("params", [
         ArrangementParams(Family.A0, p=2, r=1, e=1, d=3),
@@ -527,15 +544,18 @@ def plain_reach_step(cur, sol, target):
 @st.composite
 def reach_steps(draw):
     """(cur, sol, target): cur within [0, target], saturated (low | [lo,
-    target]) or with bit target clear; sol nonempty, possibly reaching
-    above target."""
+    target]), with bit target clear, or a few values below target (sparser
+    than most sol); sol nonempty, possibly reaching above target."""
     target = draw(st.integers(0, 160))
     low = draw(st.integers(0, (1 << (target + 1)) - 1))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["saturated", "top bit clear", "sparse"]))
+    if shape == "saturated":
         lo = draw(st.integers(0, target))
         cur = (low & ((1 << lo) - 1)) | (((1 << (target + 1)) - 1) >> lo << lo)
-    else:
+    elif shape == "top bit clear":
         cur = low & ((1 << target) - 1)
+    else:
+        cur = sum({1 << v for v in draw(st.lists(st.integers(0, max(target - 1, 0)), max_size=3))})
     sol = draw(st.integers(1, (1 << draw(st.integers(1, target + 40))) - 1))
     return cur, sol, target
 
@@ -548,6 +568,10 @@ class TestReachStep:
     @example((0b11110101, 0b110, 7))      # low shifts by the values below lo + min(sol)
     @example((0b01110101, 0b110, 7))      # bit target clear: the plain loop
     @example((1, 1, 0))
+    @example((1, 0b1011011, 7))           # cur = 1, sparser than sol: one shift
+    @example((1, (1 << 300) - 2, 160))    # cur = 1, sol reaching above target
+    @example((0b100010, 0b11101110, 9))   # cur sparser than sol
+    @example((0, 0b111, 5))               # cur empty
     @settings(max_examples=400, deadline=None)
     def test_matches_plain_shift_loop(self, case):
         assert partitions._reach_step(*case) == plain_reach_step(*case)
@@ -643,7 +667,7 @@ class TestNodeImages:
             for form in forms:
                 expected = moebius_image(table, q, *form)
                 for rule in rules_of(table):
-                    img = images(rule, *form)
+                    img = images[(rule, *form)]
                     assert 0 <= img <= images.full
                     assert {v for v in range(q) if (img >> v) & 1} == expected
 
@@ -672,7 +696,7 @@ class TestNodeImages:
                 expected = per_v_image(table, q, *form)
                 for rule in rules_of(table):
                     assert images._evaluate(rule, *form) == expected, form
-                    assert images(rule, *form) == expected, form
+                    assert images[(rule, *form)] == expected, form
 
     def test_evaluate_matches_per_v_reference_at_large_q(self):
         q = 30931
