@@ -24,10 +24,10 @@ from fractions import Fraction
 from itertools import chain
 
 from . import numtheory
-# verify_bounds calls `numtheory.dedekind_data` through the module, the name
-# perfbench/'s tracer hooks. badset does not call dedekind_sum or hj_length,
-# but the tracer hooks them on this module too (tests/test_bench_sites.py
-# checks that every hooked name resolves), so they stay importable from it.
+# verify_bounds calls `numtheory.hj_pass` through the module. badset does not
+# call dedekind_sum or hj_length, but perfbench/'s tracer hooks them on this
+# module (tests/test_bench_sites.py checks that every hooked name resolves),
+# so they stay importable from it.
 from .numtheory import DomainError, dedekind_sum, hj_length, is_prime  # noqa: F401
 
 
@@ -122,20 +122,18 @@ def verify_bounds(q: int, C) -> BoundReport:
         raise DomainError(f"q must be a prime >= 17, got {q}")
     fs = bad_set(q, C)
 
-    # 12*q*|s(a, q)| = |q*(sum e_i - 3*l) + a + a^-1 mod q| is an integer, so
-    # the scan compares integers and builds one Fraction at the end. Its
-    # start value -q reads back as 12|s| = -1 when no residue is good; ties
-    # keep the first maximal a.
+    # 12*q*|s(a, q)| is an integer, so the scan compares integers and builds
+    # one Fraction at the end. Its start value -q reads back as 12|s| = -1
+    # when no residue is good; ties keep the first maximal a.
     worst_la, worst_l = 0, -1
     worst_sa, worst_s12q = 0, -q
-    twelve_q = 12 * q
+    hj_pass = numtheory.hj_pass
     for a in fs.complement:
-        data = numtheory.dedekind_data(q, a)
-        l = len(data.digits)
+        digits, s12q = hj_pass(q, a)
+        l = len(digits)
         if l > worst_l:
             worst_la, worst_l = a, l
-        s = data.s
-        s12q = abs(s.numerator) * (twelve_q // s.denominator)
+        s12q = abs(s12q)
         if s12q > worst_s12q:
             worst_sa, worst_s12q = a, s12q
 

@@ -95,7 +95,7 @@ def _cmd_badset(args) -> int:
     fs = bad_set(args.q, C)
     out = {
         "q": fs.q, "C": C, "size": len(fs.members),
-        "bad": list(fs.members), "good": list(fs.complement),
+        "bad": fs.members, "good": fs.complement,
     }
     if args.verify:
         rep = verify_bounds(args.q, C)

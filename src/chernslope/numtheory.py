@@ -1,8 +1,9 @@
 """Exact Hirzebruch-Jung continued fractions and Dedekind sums.
 
 Everything in this module is integer / `fractions.Fraction` arithmetic; no
-floats anywhere. `dedekind_data` is the one definition of the HJ digits,
-the Dedekind sum and the c-invariant: a single HJ pass gives all three.
+floats anywhere. `hj_pass` is the one HJ loop: one pass gives the digits
+and 12*q*s(a, q) as integers. `dedekind_data` bundles them with the
+Dedekind sum and the c-invariant.
 """
 from __future__ import annotations
 
@@ -112,21 +113,28 @@ class DedekindData:
 
 
 def dedekind_data(q: int, a: int) -> DedekindData:
-    """HJ digits, Dedekind sum and c-invariant of (a, q) from one HJ pass.
+    """HJ digits, Dedekind sum and c-invariant of (a, q) from one HJ pass."""
+    _check_pair(q, a)
+    digits, s12q = hj_pass(q, a)
+    return DedekindData(q=q, a=a, s=Fraction(s12q, 12 * q), digits=tuple(digits))
+
+
+def hj_pass(q: int, a: int) -> tuple[list[int], int]:
+    """The HJ digits of q/a and the integer 12*q*s(a, q), from one pass.
 
     Uses 12 s(a, q) = sum_i (e_i - 3) + (a + a') / q, where a' is the
     inverse of a mod q (Hirzebruch-Zagier, The Atiyah-Singer theorem and
-    elementary number theory, 1974).
+    elementary number theory, 1974). The caller passes a coprime pair
+    0 < a < q (`dedekind_data` checks it); no Fraction is built, so a scan
+    over many residues stays in integers.
     """
-    _check_pair(q, a)
     digits = []
     qq, aa = q, a
     while aa > 0:
         e = -(-qq // aa)  # ceil(qq/aa)
         digits.append(e)
         qq, aa = aa, e * aa - qq
-    s = Fraction(q * (sum(digits) - 3 * len(digits)) + a + pow(a, -1, q), 12 * q)
-    return DedekindData(q=q, a=a, s=s, digits=tuple(digits))
+    return digits, q * (sum(digits) - 3 * len(digits)) + a + pow(a, -1, q)
 
 
 def hj_length(q: int, a: int) -> int:

@@ -11,7 +11,7 @@ the report.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import density
 from .geometry import Family, ResolvedConfiguration, build_resolution, component_count, node_count
@@ -27,7 +27,7 @@ from .partitions import (
     verify_asymptotic,
 )
 from .rootcover import BranchAssignment, CoverInvariants, chern_of_cover
-from .serialize import canonical_json, jsonable
+from .serialize import canonical_json
 
 DEFAULT_COMPONENT_CAP = 250_000
 DEFAULT_NODE_CAP = 20_000
@@ -117,7 +117,7 @@ def run_pipeline(
         "sampled": None,
     }
     if solved.params is not None:
-        report["params"] = jsonable(solved.params)
+        report["params"] = asdict(solved.params)
         report["limit_slope"] = solved.achieved_limit
         report["limit_slope_approx"] = float(solved.achieved_limit)
         report["error"] = solved.error

@@ -3,7 +3,10 @@
 Each one takes the slow, defining route to a value the package computes
 another way, and checks its own arguments.
 """
+import enum
+import json
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from chernslope.numtheory import DomainError
@@ -81,3 +84,46 @@ def is_primitive_root(p: int, q: int) -> bool:
         x = x * p % q
         order += 1
     return order == q - 1
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON through the standard library's encoder
+# ---------------------------------------------------------------------------
+
+_LEAVES = frozenset({str, int, bool, float, type(None)})
+
+
+def rat(x) -> dict[str, str]:
+    f = Fraction(x)
+    return {"num": str(f.numerator), "den": str(f.denominator)}
+
+
+def jsonable(obj):
+    """Recursively convert to JSON-serializable structures; Fractions become
+    {"num", "den"} string pairs so nothing is ever rounded.
+
+    Dataclasses become dicts of their fields, read in place; sets become
+    sorted lists. Anything else is returned as it is, for `json.dumps` to
+    encode or refuse.
+    """
+    if type(obj) in _LEAVES:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [jsonable(v) for v in sorted(obj)]
+    if isinstance(obj, Fraction):
+        return rat(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
+def canonical_json_stdlib(obj) -> str:
+    """The reference for `serialize.canonical_json`: `jsonable`, then the
+    standard library's encoder with sorted keys and a 2-space indent."""
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2)

@@ -17,6 +17,8 @@ FAMILY_A = ["--family", "A", "--p", "2", "--d", "3", "--u", "1", "--w", "1"]
 GOLDEN = [
     (["dedekind", "--q", "17", "--a", "5"], 0, "d33204e00dc394f5"),
     (["badset", "--q", "101", "--verify"], 0, "1f630e4612c7b488"),
+    # the whole O(q) good set, about a million integers
+    (["badset", "--q", "1000003"], 0, "7cbdf3c1ac76b6a3"),
     (["arrangement", *FAMILY_A, "--full"], 0, "f8aaa3a38a1882e5"),
     (["search", *FAMILY_A, "--q", "101", "--seed", "1"], 0, "0d38a79cb19760c5"),
     # rejection fails within 50 draws, the backtracking search succeeds

@@ -12,6 +12,7 @@ from chernslope.numtheory import (
     dedekind_data,
     dedekind_sum,
     hj_length,
+    hj_pass,
     is_prime,
     next_prime,
     primes_between,
@@ -61,6 +62,20 @@ class TestHirzebruchJung:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             dedekind_data(5, 5)
+
+
+class TestHjPass:
+    @pytest.mark.parametrize("q", [17, 101, 9973])
+    def test_matches_dedekind_data(self, q):
+        for a in range(1, q):
+            digits, s12q = hj_pass(q, a)
+            data = dedekind_data(q, a)
+            assert tuple(digits) == data.digits
+            assert s12q == 12 * q * data.s
+
+    def test_matches_defining_sum(self):
+        for q, a in coprime_pairs(200):
+            assert hj_pass(q, a)[1] == 12 * q * dedekind_sum_direct(q, a), (q, a)
 
 
 class TestDedekindSum:

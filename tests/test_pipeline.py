@@ -11,7 +11,8 @@ from chernslope import cli, density, pipeline
 from chernslope.geometry import ArrangementParams, Family, build_resolution
 from chernslope.pipeline import run_pipeline
 from chernslope.rootcover import BranchAssignment
-from chernslope.serialize import canonical_json, jsonable, rat
+from chernslope.serialize import canonical_json
+from oracles import jsonable, rat
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
-"""Canonical JSON: the field-walking `jsonable` against the asdict-based one."""
+"""Canonical JSON: the one-pass renderer against the standard library's
+encoder (`oracles.canonical_json_stdlib`), and against the earlier
+asdict-based walk on the package's own dataclasses."""
 import enum
 import hashlib
 import json
-from collections import Counter, namedtuple
+from collections import Counter, OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
@@ -15,7 +17,8 @@ from chernslope.geometry import ArrangementParams, Family, build_resolution
 from chernslope.nefcheck import nef_report
 from chernslope.numtheory import dedekind_data
 from chernslope.rootcover import BranchAssignment, chern_of_cover
-from chernslope.serialize import canonical_json, jsonable, rat
+from chernslope.serialize import canonical_json
+from oracles import canonical_json_stdlib, jsonable, rat
 
 
 def reference_jsonable(obj):
@@ -34,12 +37,8 @@ def reference_jsonable(obj):
     return obj
 
 
-def reference_canonical_json(obj) -> str:
-    return json.dumps(reference_jsonable(obj), sort_keys=True, indent=2)
-
-
 def assert_same(obj) -> None:
-    assert canonical_json(obj) == reference_canonical_json(obj)
+    assert canonical_json(obj) == canonical_json_stdlib(obj)
 
 
 def package_values():
@@ -69,8 +68,10 @@ class TestPackageDataclasses:
     @pytest.mark.parametrize("name", sorted(PACKAGE_VALUES))
     def test_matches_asdict_walk(self, name):
         value = PACKAGE_VALUES[name]
-        assert_same(value)
-        assert_same([value, {"nested": value}])
+        for obj in (value, [value, {"nested": value}]):
+            assert_same(obj)
+            assert canonical_json(obj) == json.dumps(reference_jsonable(obj),
+                                                     sort_keys=True, indent=2)
 
     def test_all_together(self):
         assert_same(PACKAGE_VALUES)
@@ -85,6 +86,25 @@ class Colour(enum.IntEnum):
     BLUE = 2
 
 
+class Shade(enum.Enum):
+    LIGHT = 0.5
+    NONE = None
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return f"Ratio({float(self)})"
+
+
 Pair = namedtuple("Pair", "left right")
 
 
@@ -94,16 +114,30 @@ class Box:
     inner: object
 
 
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+# control characters, the ASCII edge, non-ASCII and astral-plane characters
+text = st.text(st.characters(max_codepoint=0x7F) | st.characters(), max_size=5)
+# keys that collide once they become strings: 1 and "1", 1.5 and "1.5", ...
+keys = st.sampled_from([1, "1", 1.5, "1.5", True, "True", None, "None"]) | text | st.integers()
 leaves = (
     st.none()
     | st.booleans()
     | st.integers()
-    | st.text(max_size=5)
-    | st.floats(allow_nan=False)
+    | text
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
     | st.fractions()
-    | st.sampled_from(list(Family) + list(Colour))
+    | st.builds(Name, text)
+    | st.builds(Count, st.integers())
+    | st.builds(Ratio, st.floats())
+    | st.sampled_from(list(Family) + list(Colour) + list(Shade))
 )
-sets = st.frozensets(st.integers()) | st.sets(st.text(max_size=3))
+empties = st.sampled_from([[], (), {}, set(), frozenset(), Empty(), OrderedDict()])
+sets = st.frozensets(st.integers()) | st.sets(text)
 
 
 def containers(children):
@@ -111,27 +145,27 @@ def containers(children):
         st.lists(children, max_size=4)
         | st.tuples(children, children)
         | st.builds(Pair, children, children)
-        | st.dictionaries(st.text(max_size=3) | st.integers(), children, max_size=4)
-        | st.builds(Box, st.text(max_size=3), children)
+        | st.dictionaries(keys, children, max_size=4)
+        | st.builds(Box, text, children)
     )
 
 
 # A Counter stays outside any dataclass: asdict rebuilds it from its (key,
 # value) pairs and so counts the pairs (see test_counter_inside_dataclass).
 values = st.recursive(
-    leaves | sets | st.lists(st.fractions(), max_size=3).map(tuple), containers,
+    leaves | empties | sets | st.lists(st.fractions(), max_size=3).map(tuple), containers,
     max_leaves=20,
 )
-counters = st.dictionaries(st.text(max_size=3), st.integers(), max_size=4).map(Counter)
+counters = st.dictionaries(text, st.integers(), max_size=4).map(Counter)
 
 
 class TestNestedValues:
     @given(values)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_matches_reference(self, value):
         assert_same(value)
 
-    @given(st.dictionaries(st.text(max_size=3), values | counters, max_size=4), counters)
+    @given(st.dictionaries(text, values | counters, max_size=4), counters)
     @settings(max_examples=100, deadline=None)
     def test_counters_and_dicts(self, mapping, counter):
         assert_same(mapping)
@@ -141,8 +175,9 @@ class TestNestedValues:
         assert canonical_json([True, 1, False, 0]) == json.dumps([True, 1, False, 0], indent=2)
 
     def test_set_order_is_sorted(self):
+        assert canonical_json({3, 1, 2}) == "[\n  1,\n  2,\n  3\n]"
+        assert canonical_json(frozenset({"b", "a"})) == '[\n  "a",\n  "b"\n]'
         assert jsonable({3, 1, 2}) == [1, 2, 3]
-        assert jsonable(frozenset({"b", "a"})) == ["a", "b"]
 
     def test_dataclass_in_dict(self):
         value = {"x": Box("b", (Fraction(1, 3), Pair(Family.A, {2, 1})))}
@@ -156,3 +191,38 @@ class TestNestedValues:
         # field walk keeps the counter's own items
         assert jsonable(Box("c", Counter({"a": 2}))) == {"label": "c", "inner": {"a": 2}}
         assert reference_jsonable(Box("c", Counter({"a": 2})))["inner"] == {"('a', 2)": 1}
+        assert_same(Box("c", Counter({"a": 2})))
+
+
+class TestLayout:
+    """The encoder's layout rules, spelled out."""
+
+    def test_fraction_is_den_then_num_strings(self):
+        assert canonical_json(Fraction(-3, 7)) == '{\n  "den": "7",\n  "num": "-3"\n}'
+
+    def test_keys_sorted_last_collision_wins(self):
+        assert canonical_json({"b": 1, 1: 2, "a": 3, "1": 4}) == (
+            '{\n  "1": 4,\n  "a": 3,\n  "b": 1\n}')
+
+    def test_empty_containers_stay_on_one_line(self):
+        assert canonical_json({"a": [], "b": {}, "c": [()], "d": Empty()}) == (
+            '{\n  "a": [],\n  "b": {},\n  "c": [\n    []\n  ],\n  "d": {}\n}')
+
+    def test_leaf_spellings(self):
+        value = [float("nan"), float("inf"), float("-inf"), Ratio(0.1), Count(7),
+                 Name("é\n"), None, Shade.NONE, Shade.LIGHT, Colour.BLUE]
+        assert canonical_json(value) == (
+            '[\n  NaN,\n  Infinity,\n  -Infinity,\n  0.1,\n  7,\n  "\\u00e9\\n",\n'
+            '  null,\n  null,\n  0.5,\n  2\n]')
+        assert_same(value)
+
+
+class TestRefused:
+    @pytest.mark.parametrize("leaf", [object(), 1j, b"bytes", Fraction],
+                             ids=["object", "complex", "bytes", "type"])
+    def test_unserialisable_leaf_raises_on_both_paths(self, leaf):
+        for value in (leaf, [1, {"a": leaf}], Box("b", leaf)):
+            with pytest.raises(TypeError):
+                canonical_json(value)
+            with pytest.raises(TypeError):
+                canonical_json_stdlib(value)
