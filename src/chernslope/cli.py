@@ -20,7 +20,7 @@ from . import nefcheck, pipeline, prank
 from .badset import bad_set, verify_bounds
 from .geometry import ArrangementParams, Family, build_resolution, log_chern_closed, log_chern_pair
 from .numtheory import dedekind_data, is_prime, primes_between
-from .partitions import NotFound, PartitionProblem, check_base, sampler_diagnostics
+from .partitions import NotFound, PartitionProblem, check_base, check_max_tries, sampler_diagnostics
 # cli never calls these itself (`pipeline.find_assignment` does), but the
 # capture and tracing hooks in perfbench/ look them up on this module with
 # getattr, so they stay importable from it.
@@ -261,6 +261,7 @@ def _per_q_seed(master_seed: int, q: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    check_max_tries(args.max_tries)  # also when the prime range is empty
     params = _params_from_args(args)
     # neither depends on q: build once
     config = build_resolution(params)

@@ -27,7 +27,14 @@ from . import badset
 from .badset import good_residues  # noqa: F401
 from .geometry import Family, ResolvedConfiguration
 from .numtheory import DomainError, check_prime_q
-from .rootcover import BranchAssignment, InvalidAssignmentError, NegatedInverses
+from .rootcover import (
+    BranchAssignment,
+    ChainMultiplicities,
+    ChainRoots,
+    InvalidAssignmentError,
+    NegatedInverses,
+    node_residues,
+)
 
 
 def min_feasible_q(params) -> int:
@@ -143,35 +150,47 @@ class AsymptoticReport:
     bad_nodes: tuple[tuple[tuple[str, str, int], int], ...]  # (node, residue)
 
 
-def _bad_nodes(config: ResolvedConfiguration, assign: BranchAssignment,
+def _bad_nodes(residues: Iterable[tuple[tuple[str, str, int], int]],
                rules: Iterable[Rule]) -> Iterator[tuple[tuple[str, str, int], int]]:
     """(node, residue) for each node whose residue breaks its rule (`rules`
     holds one per node, in node order), computed as they are consumed."""
-    return ((node, a) for (node, a), (allow, listed) in zip(assign.residues(config), rules)
+    return ((node, a) for (node, a), (allow, listed) in zip(residues, rules)
             if (a in listed) is not allow)
 
 
 def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -> AsymptoticReport:
     """Check every node residue against `residue_rule`."""
-    bad = tuple(_bad_nodes(config, assign, map(residue_rule(config, assign.q), config.nodes)))
+    rules = map(residue_rule(config, assign.q), config.nodes)
+    bad = tuple(_bad_nodes(assign.residues(config), rules))
     return AsymptoticReport(ok=not bad, bad_nodes=bad)
+
+
+def check_max_tries(max_tries: int) -> None:
+    """Raise DomainError unless the sampler's draw count is non-negative."""
+    if max_tries < 0:
+        raise DomainError(f"max_tries must be non-negative, got {max_tries}")
 
 
 def _draws(
     problem: PartitionProblem, seed: int, max_tries: int
-) -> Iterator[tuple[BranchAssignment, Iterator[tuple[tuple[str, str, int], int]]] | None]:
+) -> Iterator[tuple[dict[str, int], Iterator[tuple[tuple[str, str, int], int]]] | None]:
     """The sampler's seeded draws, one generator per (seed, try index) so
     any scheduling of tries reproduces them: each is None if a multiplicity
-    collapses mod q, else the assignment and its `_bad_nodes`."""
-    rules = list(map(residue_rule(problem.config, problem.q), problem.config.nodes))
+    collapses mod q (`BranchAssignment.from_base` would raise), else the
+    drawn base and its `_bad_nodes`. A chain multiplicity is computed only
+    when a node reading it is consumed (`ChainMultiplicities`), so a draw
+    dropped at an early node costs O(tangencies + nodes read)."""
+    config, q = problem.config, problem.q
+    rules = list(map(residue_rule(config, q), config.nodes))
+    roots, neg_inv = ChainRoots(q), NegatedInverses(q)
     for t in range(max_tries):
         base = _draw_base(problem, random.Random(f"{seed}:{t}"))
         try:
-            assign = BranchAssignment.from_base(problem.config, problem.q, base)
+            nus = ChainMultiplicities(config, q, base, roots)
         except InvalidAssignmentError:
             yield None
             continue
-        yield assign, _bad_nodes(problem.config, assign, rules)
+        yield base, _bad_nodes(node_residues(config.nodes, nus, neg_inv), rules)
 
 
 def sample_with_stats(
@@ -180,14 +199,16 @@ def sample_with_stats(
     """Seeded rejection sampling: returns (the first draw that obeys
     `residue_rule`, draws used), or (NotFound, max_tries).
 
-    A draw is dropped at its first bad node; `sampler_diagnostics` replays
-    the same draws for the reports that say how close they came."""
+    A draw is dropped at its first bad node, and only the kept draw becomes
+    a `BranchAssignment`; `sampler_diagnostics` replays the same draws for
+    the reports that say how close they came."""
+    check_max_tries(max_tries)
     zero_hits = 0
     for t, draw in enumerate(_draws(problem, seed, max_tries), start=1):
         if draw is None:
             zero_hits += 1
         elif next(draw[1], None) is None:
-            return draw[0], t
+            return BranchAssignment.from_base(problem.config, problem.q, draw[0]), t
     return NotFound(tries=max_tries, zero_hits=zero_hits), max_tries
 
 

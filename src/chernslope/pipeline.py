@@ -20,6 +20,7 @@ from .numtheory import DomainError, check_prime_q, next_prime
 from .partitions import (
     NotFound,
     PartitionProblem,
+    check_max_tries,
     min_feasible_q,
     sample_with_stats,
     sampler_diagnostics,
@@ -44,6 +45,7 @@ def find_assignment(
     zero_hits; a report that says how close the draws came gets that from
     `sampler_diagnostics`.
     """
+    check_max_tries(max_tries)
     problem = PartitionProblem(config, q)
     sampled, draws = sample_with_stats(problem, seed=seed, max_tries=max_tries)
     if not isinstance(sampled, NotFound):
@@ -94,6 +96,7 @@ def run_pipeline(
     node_cap: int = DEFAULT_NODE_CAP,
     max_tries: int = 200,
 ) -> PipelineResult:
+    check_max_tries(max_tries)
     family = Family(family)
     target, epsilon = density.as_fraction(target), density.as_fraction(epsilon)
     # the report's *_approx fields are floats, and a limit slope within

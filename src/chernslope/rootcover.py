@@ -8,11 +8,12 @@ meeting there.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .geometry import ResolvedConfiguration, log_chern_pair
 from .numtheory import DomainError, ceil_isqrt, dedekind_data, is_prime
@@ -34,6 +35,90 @@ class NegatedInverses(dict):
         return value
 
 
+def node_residues(nodes: Iterable[tuple[str, str, int]], nus: Mapping[str, int],
+                  neg_inv: NegatedInverses) -> Iterator[tuple[tuple[str, str, int], int]]:
+    """(node, residue) for each node, in order and computed as the iterator
+    is consumed. The residue of a node (i, j) is the unique 0 < a < q with
+    nu_i * a + nu_j = 0 (mod q), that is nu_j * (q - nu_i^-1) mod q, with
+    q = neg_inv.q. Swapping the ends replaces a by its inverse mod q, which
+    leaves the node invariants c and l unchanged."""
+    q = neg_inv.q
+    return ((node, nus[node[1]] * neg_inv[nus[node[0]]] % q) for node in nodes)
+
+
+class ChainRoots(dict):
+    """The least root k >= 1 of k*s + y = 0 (mod q) in closed form, by s.
+
+    With g = gcd(s, q) and m = q/g, the equation has a root exactly when g
+    divides y, and then its least root is (y/g)*t mod m, where
+    t = -(s/g)^-1 mod m; self[s] = (g, t, m), computed on first lookup. At
+    s = 0, g = q divides no y that is nonzero mod q: there is no root. At
+    prime q and s != 0, g = 1 and the root is -y * s^-1 mod q.
+    """
+
+    def __init__(self, q: int) -> None:
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, s: int) -> tuple[int, int, int]:
+        g = math.gcd(s, self.q)
+        m = self.q // g
+        value = self[s] = (g, -pow(s // g, -1, m) % m, m)
+        return value
+
+
+class ChainMultiplicities(dict):
+    """Every component's multiplicity from those of the base components.
+
+    Over a tangency with section multiplicities a, b and fiber multiplicity
+    y, the k-th chain curve carries k*s + y mod q, s = a + b; it is computed
+    on first lookup. Building the mapping checks the base (every base
+    component given, none 0 mod q, nothing else) and reads each tangency's
+    s and y once: its chain of n curves collapses exactly when the least
+    root k of k*s + y = 0 (mod q) (`ChainRoots`) is at most n, and
+    InvalidAssignmentError then names the first such curve. The root is
+    looked up only when y + n*s >= q: below that, no k*s + y reaches q. So
+    no chain multiplicity is computed before it is read, and a draw
+    rejected at its first nodes costs O(tangencies), not O(components).
+    """
+
+    __slots__ = ("q", "_position", "_ends")
+
+    def __init__(self, config: ResolvedConfiguration, q: int, base: Mapping[str, int],
+                 roots: ChainRoots | None = None) -> None:
+        super().__init__({cid: base.get(cid, 0) % q for cid in config.base_ids})
+        if 0 in self.values():
+            cid = next(cid for cid, nu in self.items() if nu == 0)
+            if cid not in base:
+                raise InvalidAssignmentError(f"no multiplicity given for {cid}")
+            raise InvalidAssignmentError(f"nu({cid}) = 0 mod {q}")
+        if len(base) != len(self):  # chain multiplicities are derived, not given
+            unknown = next(cid for cid in base if cid not in self)
+            raise InvalidAssignmentError(f"{unknown} is not a base component")
+        if roots is None:
+            roots = ChainRoots(q)
+        self.q = q
+        self._position = config.chain_position
+        self._ends = ends = {}  # (s, y) by the tangency's fiber
+        for tang in config.tangencies:
+            a, b = tang.sections
+            s = (self[a] + self[b]) % q
+            fiber = tang.fiber
+            y = self[fiber]
+            n = len(tang.chain)
+            if y + n * s >= q:  # else every k*s + y, k <= n, lies in (0, q)
+                g, t, m = roots[s]
+                if not y % g and (k := y // g * t % m) <= n:
+                    raise InvalidAssignmentError(f"nu({tang.chain[k - 1]}) = 0 mod {q}")
+            ends[fiber] = (s, y)
+
+    def __missing__(self, gid: str) -> int:
+        tang, k = self._position[gid]
+        s, y = self._ends[tang.fiber]
+        nu = self[gid] = (k * s + y) % self.q
+        return nu
+
+
 @dataclass(frozen=True)
 class BranchAssignment:
     """Multiplicities for every component of a configuration, mod q."""
@@ -52,43 +137,16 @@ class BranchAssignment:
         cls, config: ResolvedConfiguration, q: int, base: Mapping[str, int]
     ) -> "BranchAssignment":
         """Extend multiplicities on the non-exceptional components to the
-        chains: over a tangency with section multiplicities a, b and fiber
-        multiplicity y, the k-th chain curve carries k(a + b) + y mod q.
-        `base` must name exactly the base components."""
-        nus: dict[str, int] = {}
-        for cid in config.base_ids:
-            if cid not in base:
-                raise InvalidAssignmentError(f"no multiplicity given for {cid}")
-            nu = base[cid] % q
-            if nu == 0:
-                raise InvalidAssignmentError(f"nu({cid}) = 0 mod {q}")
-            nus[cid] = nu
-        if len(base) != len(nus):  # chain multiplicities are derived, not given
-            unknown = next(cid for cid in base if cid not in nus)
-            raise InvalidAssignmentError(f"{unknown} is not a base component")
-        for tang in config.tangencies:
-            s = (nus[tang.sections[0]] + nus[tang.sections[1]]) % q
-            y = nus[tang.fiber]
-            for k, gid in enumerate(tang.chain, start=1):
-                nu = (k * s + y) % q
-                if nu == 0:
-                    raise InvalidAssignmentError(f"nu({gid}) = 0 mod {q}")
-                nus[gid] = nu
-        return cls(q=q, nus=nus)
+        chains (`ChainMultiplicities`). `base` must name exactly the base
+        components."""
+        nus = ChainMultiplicities(config, q, base)
+        return cls(q=q, nus={**nus, **{gid: nus[gid] for gid in config.chain_position}})
 
     def residues(self, config: ResolvedConfiguration) -> Iterator[tuple[tuple[str, str, int], int]]:
-        """(node, residue) for every node of the configuration, in node
-        order and computed as the iterator is consumed. The residue of a
-        node (i, j) is the unique 0 < a < q with nu_i * a + nu_j = 0 (mod q),
-        that is nu_j * (q - nu_i^-1) mod q, with q - nu^-1 memoised by
-        multiplicity. Swapping the ends replaces a by its inverse mod q,
-        which leaves the node invariants c and l unchanged."""
-        q = self.q
-        if not is_prime(q):
-            raise DomainError(f"q must be prime, got {q}")
-        neg_inv = NegatedInverses(q)
-        nus = self.nus
-        return ((node, nus[node[1]] * neg_inv[nus[node[0]]] % q) for node in config.nodes)
+        """`node_residues` of every node of the configuration, in node order."""
+        if not is_prime(self.q):
+            raise DomainError(f"q must be prime, got {self.q}")
+        return node_residues(config.nodes, self.nus, NegatedInverses(self.q))
 
 
 @dataclass(frozen=True)
@@ -131,10 +189,11 @@ def chern_of_cover(config: ResolvedConfiguration, assign: BranchAssignment) -> C
         counts[a] += node[2]
     data = {a: dedekind_data(q, a) for a in counts}
 
-    # q*c(a, q) = 12q*s(a, q) + q*l(a, q) is an integer, so the c-correction
-    # is an integer sum over q and c1^2 is one Fraction over q
-    c = {a: d.c for a, d in data.items()}
-    qc_corr = sum(c[a].numerator * (q // c[a].denominator) * n for a, n in counts.items())
+    # q*c(a, q) = 12q*s(a, q) + q*l(a, q) is an integer (the denominator of
+    # s divides 12q), so the c-correction is an integer sum over q and c1^2
+    # is one Fraction over q
+    qc = {a: d.s.numerator * (12 * q // d.s.denominator) + q * d.length for a, d in data.items()}
+    qc_corr = sum(qc[a] * n for a, n in counts.items())
     l_corr = sum(data[a].length * n for a, n in counts.items())
 
     c1sq_x = Fraction((c1b * q + 2 * (c2 - c2b)) * q + c1 - c1b + 2 * c2b - 2 * c2 - qc_corr, q)
@@ -146,10 +205,9 @@ def chern_of_cover(config: ResolvedConfiguration, assign: BranchAssignment) -> C
         # Noether's formula: a library bug, not bad input
         raise RuntimeError(f"c1^2 + c2 = {c1sq_x + c2_x} is not divisible by 12 at q = {q}")
 
-    sings = tuple(
-        SingularityRecord(node=node, a=a, hj_digits=data[a].digits, c=c[a], l=data[a].length)
-        for node, a in residues
-    )
+    # a record's digits, c and l, built once per distinct residue
+    fields = {a: (d.digits, Fraction(qc[a], q), d.length) for a, d in data.items()}
+    sings = tuple(SingularityRecord(node, a, *fields[a]) for node, a in residues)
     bound = defect_bound(q, config.t2) if q >= 17 else None
     return CoverInvariants(
         q=q,

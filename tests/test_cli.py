@@ -226,6 +226,21 @@ class TestInvalidInputExits2:
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("args", [
+        ("search", "--family", "A", "--u", "1", "--w", "1", "--q", "53", "--max-tries", "-3"),
+        ("cover", "--family", "A", "--u", "1", "--w", "1", "--q", "53", "--max-tries", "-3"),
+        ("slope", "--target", "5/2", "--eps", "1/2", "--family", "APRIME", "--max-tries", "-2"),
+        ("sweep", "--family", "A", "--u", "1", "--w", "1", "--q-min", "50", "--q-max", "60",
+         "--max-tries", "-1"),
+        ("sweep", "--family", "A", "--u", "1", "--w", "1", "--q-min", "24", "--q-max", "28",
+         "--max-tries", "-1"),  # no prime in range
+    ], ids=["search", "cover", "slope", "sweep", "sweep-no-prime"])
+    def test_negative_max_tries(self, capsys, args):
+        assert cli.main(list(args)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: max_tries must be non-negative, got {args[-1]}\n"
+
     @pytest.mark.parametrize("args", [("--help",), ("search", "--help")])
     def test_help_still_prints_usage(self, args):
         proc = run_cli(*args)

@@ -340,6 +340,115 @@ class TestSamplerEarlyStop:
         assert result.status == "not_found"
         assert diagnosed == [(127, (0, 5))]
 
+    # APRIME's tangencies that are not paired have chain multiplicities that
+    # can collapse mod q at these q, so many draws count as zero hits; A0 and
+    # A never collapse (each k(a + b) + y stays below q)
+    DRAWN = [
+        ArrangementParams(Family.A0, p=2, r=1, e=1, d=3),
+        ArrangementParams(Family.A, p=2, r=1, e=1, d=3, u=1, w=1),
+        ArrangementParams(Family.APRIME, p=2, r=2, e=1, d=4),
+        ArrangementParams(Family.APRIME, p=3, r=1, e=1, d=6),
+    ]
+
+    @given(st.sampled_from(DRAWN), st.sampled_from(primes_between(17, 61)),
+           st.integers(0, 2**64), st.integers(0, 40))
+    @example(DRAWN[3], 17, 0, 30)  # 30 zero hits in 30 draws
+    @example(DRAWN[2], 23, 0, 30)  # 14 zero hits, and the others all fail
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_problems_match_from_base_replay(self, params, q, seed, max_tries):
+        config = drawn_config(params)
+        assume(q >= partitions.min_feasible_q(params))
+        problem = PartitionProblem(config, q)
+        result, tries = sample_with_stats(problem, seed=seed, max_tries=max_tries)
+        diagnostics = sampler_diagnostics(problem, seed, max_tries)
+        expected = replay_sampler(problem, seed, max_tries)
+        assert (result, tries) == expected[:2]
+        if isinstance(result, NotFound):
+            assert diagnostics == expected[2:]
+
+    @pytest.mark.parametrize("max_tries", [-1, -200])
+    def test_negative_max_tries_is_a_domain_error(self, monkeypatch, family_a_config, max_tries):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before max_tries was checked")
+
+        problem = PartitionProblem(family_a_config, 101)
+        monkeypatch.setattr(partitions, "_draw_base", no_work)
+        monkeypatch.setattr(pipeline, "PartitionProblem", no_work)
+        monkeypatch.setattr(pipeline.density, "solve_family_a", no_work)
+        message = f"^max_tries must be non-negative, got {max_tries}$"
+        with pytest.raises(DomainError, match=message):
+            sample_with_stats(problem, seed=0, max_tries=max_tries)
+        with pytest.raises(DomainError, match=message):
+            pipeline.find_assignment(family_a_config, 101, 0, max_tries)
+        with pytest.raises(DomainError, match=message):
+            pipeline.run_pipeline(Fraction(2), Fraction(1, 2), max_tries=max_tries)
+
+
+@functools.cache
+def drawn_config(params):
+    return build_resolution(params)
+
+
+class TestChainCollapse:
+    """`ChainMultiplicities` decides a chain's collapse from one root of
+    k*s + y = 0 (mod q); the reference scans every chain curve in order."""
+
+    CONFIGS = [
+        ArrangementParams(Family.A0, p=2, r=3, e=1, d=3),    # chains of 8 curves
+        ArrangementParams(Family.APRIME, p=3, r=1, e=1, d=4),  # chains of 3 curves
+    ]
+
+    @staticmethod
+    def first_collapse(config, q, nus):
+        for tang in config.tangencies:
+            s = nus[tang.sections[0]] + nus[tang.sections[1]]
+            for k, gid in enumerate(tang.chain, start=1):
+                if (k * s + nus[tang.fiber]) % q == 0:
+                    return gid
+        return None
+
+    # q = 91 = 7 * 13 (`cover --base-file` takes any q): s can share a factor with q
+    @pytest.mark.parametrize("q", [17, 31, 91])
+    @pytest.mark.parametrize("params", CONFIGS, ids=["A0", "APRIME"])
+    def test_every_s_and_y_of_the_first_tangency(self, params, q):
+        config = drawn_config(params)
+        tang = config.tangencies[0]
+        base = {cid: 1 for cid in config.base_ids}
+        collapses = 0
+        for s in range(q):
+            for y in range(1, q):
+                a = 1 if s != 1 else 2
+                base.update({tang.sections[0]: a, tang.sections[1]: (s - a) % q, tang.fiber: y})
+                gid = self.first_collapse(config, q, base)
+                if gid is None:
+                    nus = BranchAssignment.from_base(config, q, base).nus
+                    assert nus[tang.chain[-1]] == (len(tang.chain) * s + y) % q
+                else:
+                    collapses += gid in tang.chain
+                    with pytest.raises(InvalidAssignmentError,
+                                       match=f"^nu\\({re.escape(gid)}\\) = 0 mod {q}$"):
+                        BranchAssignment.from_base(config, q, base)
+        assert collapses > 0
+
+    @pytest.mark.parametrize("params", CONFIGS, ids=["A0", "APRIME"])
+    def test_drawn_bases_at_every_tangency(self, params):
+        config = drawn_config(params)
+        rng = random.Random(0)
+        for q in (17, 31, 91):
+            for _ in range(300):
+                base = {cid: rng.randrange(1, q) for cid in config.base_ids}
+                gid = self.first_collapse(config, q, base)
+                try:
+                    nus = BranchAssignment.from_base(config, q, base).nus
+                except InvalidAssignmentError as exc:
+                    assert str(exc) == f"nu({gid}) = 0 mod {q}"
+                    continue
+                assert gid is None
+                for tang in config.tangencies:
+                    s = base[tang.sections[0]] + base[tang.sections[1]]
+                    for k, cid in enumerate(tang.chain, start=1):
+                        assert nus[cid] == (k * s + base[tang.fiber]) % q
+
 
 class TestFindAssignment:
     @pytest.mark.parametrize("q, seed, max_tries, method", [

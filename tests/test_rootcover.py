@@ -1,14 +1,18 @@
 """Degree-q cover invariants from a branch multiplicity assignment."""
+import functools
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from chernslope import rootcover
+from chernslope import partitions, rootcover
 from chernslope.geometry import ArrangementParams, Family, build_resolution, log_chern_pair
-from chernslope.numtheory import DomainError, dedekind_data, hj_length
+from chernslope.numtheory import DomainError, dedekind_data, hj_length, primes_between
+from chernslope.partitions import PartitionProblem
 from chernslope.pipeline import find_assignment
 from chernslope.rootcover import (
     BranchAssignment,
@@ -82,6 +86,11 @@ class TestBranchAssignment:
         nodes = {(i, j, c) for i, j, c in small_config.nodes}
         seen = {node for node, _ in hand_assignment.residues(small_config)}
         assert seen == nodes
+
+
+@functools.cache
+def drawn_config(params):
+    return build_resolution(params)
 
 
 def random_assignments(config, q, count, seed):
@@ -183,6 +192,33 @@ class TestCoverInvariants:
         assert inv.c1sq == (c1b * q + 2 * (c2 - c2b)
                             + Fraction(c1 - c1b + 2 * c2b - 2 * c2, q) - c_corr)
         assert [s.c for s in inv.singularities] == [dedekind_data(q, a).c for a, _n in terms]
+
+    DRAWN = [
+        ArrangementParams(Family.A0, p=2, r=1, e=1, d=3),
+        ArrangementParams(Family.A, p=2, r=1, e=1, d=3, g=0, u=1, w=1),
+        ArrangementParams(Family.A, p=3, r=1, e=2, d=4, g=1, u=2, w=2),
+        ArrangementParams(Family.APRIME, p=2, r=1, e=1, d=6),
+        ArrangementParams(Family.APRIME, p=3, r=1, e=1, d=4),
+    ]
+
+    @given(st.sampled_from(DRAWN), st.sampled_from(primes_between(17, 400)),
+           st.integers(0, 2**64))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_sums_match_records_on_drawn_covers(self, params, q, seed):
+        # a sampler draw, good residues or not: the integer sums of
+        # chern_of_cover against Fraction sums over its records
+        assume(q != params.p and q >= partitions.min_feasible_q(params))
+        config = drawn_config(params)
+        base = partitions._draw_base(PartitionProblem(config, q), random.Random(seed))
+        try:
+            inv = chern_of_cover(config, BranchAssignment.from_base(config, q, base))
+        except InvalidAssignmentError:
+            assume(False)  # a chain multiplicity is 0 mod q, or c2 vanishes
+        assert inv.c_correction == sum((s.c * s.node[2] for s in inv.singularities), Fraction(0))
+        assert inv.l_correction == sum(s.l * s.node[2] for s in inv.singularities)
+        for s in inv.singularities:
+            data = dedekind_data(q, s.a)
+            assert (s.c, s.l, s.hj_digits) == (data.c, data.length, data.digits)
 
     def test_chern_numbers_scale_with_degree(self, small_config, hand_assignment):
         # c2(X) = c2_bar * q + (c2 - c2_bar) + sum of lengths
