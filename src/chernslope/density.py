@@ -83,6 +83,17 @@ class SolvedParams:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _checked_inputs(target, epsilon, p: int) -> tuple[Fraction, Fraction]:
+    """(target, epsilon) as Fractions, after the checks both solvers share."""
+    x = as_fraction(target)
+    eps = as_fraction(epsilon)
+    if x < 2 or eps <= 0:
+        raise DomainError("need target >= 2 and epsilon > 0")
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+    return x, eps
+
+
 def _offset(params: ArrangementParams) -> Fraction:
     """The slope offset limit slope - 2 of either family, in closed form."""
     return limit_slope(params) - 2
@@ -97,12 +108,7 @@ def solve_family_a(
     + 1/u + 1/v + 3/(4uv), each kept below epsilon/5; `bridge` is the
     r -> oo limit ((d-1)(d-2) - 2u) / (u(u-1) + 2ud) of the slope offset.
     """
-    x = as_fraction(target)
-    eps = as_fraction(epsilon)
-    if x < 2 or eps <= 0:
-        raise DomainError("need target >= 2 and epsilon > 0")
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+    x, eps = _checked_inputs(target, epsilon, p)
     alpha = x - 2
     if alpha == 0:
         # aim slightly inside the interval; the slope offset is positive
@@ -151,12 +157,7 @@ def solve_family_aprime(
     of) 2 fall back to e = 1, r = 1 and the first l whose offset is within
     epsilon, found by bisection (`cap_hit` if it is not below l_cap).
     """
-    x = as_fraction(target)
-    eps = as_fraction(epsilon)
-    if x < 2 or eps <= 0:
-        raise DomainError("need target >= 2 and epsilon > 0")
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+    x, eps = _checked_inputs(target, epsilon, p)
     alpha = x - 2
 
     if alpha <= eps / 3:

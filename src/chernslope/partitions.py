@@ -30,7 +30,6 @@ from .numtheory import DomainError, check_prime_q
 from .rootcover import (
     BranchAssignment,
     ChainMultiplicities,
-    ChainRoots,
     InvalidAssignmentError,
     NegatedInverses,
     node_residues,
@@ -182,11 +181,11 @@ def _draws(
     dropped at an early node costs O(tangencies + nodes read)."""
     config, q = problem.config, problem.q
     rules = list(map(residue_rule(config, q), config.nodes))
-    roots, neg_inv = ChainRoots(q), NegatedInverses(q)
+    neg_inv = NegatedInverses(q)
     for t in range(max_tries):
         base = _draw_base(problem, random.Random(f"{seed}:{t}"))
         try:
-            nus = ChainMultiplicities(config, q, base, roots)
+            nus = ChainMultiplicities(config, base, neg_inv)
         except InvalidAssignmentError:
             yield None
             continue
@@ -552,6 +551,7 @@ def search_assignment(
     # burn the whole budget. Nothing else draws from a restart's `rng`
     # after its section orders, so `solve_fibers` can draw the per-fiber
     # orders only when it reconstructs a solution.
+    found = None
     restarts = 8
     slice_budget = max(1, node_budget // restarts)
     for restart in range(restarts):
@@ -561,7 +561,8 @@ def search_assignment(
         start = attempts
         budget_cap = min(node_budget, attempts + slice_budget)
         if dfs(0, 0, [images.full] * n_steps):
-            return BranchAssignment.from_base(cfg, q, {c: form[c][1] for c in cfg.base_ids})
+            found = BranchAssignment.from_base(cfg, q, {c: form[c][1] for c in cfg.base_ids})
+            break
         if attempts >= node_budget:
             break
         if attempts <= budget_cap:
@@ -571,4 +572,6 @@ def search_assignment(
             # later restart would spend the same attempts, within its slice.
             attempts = min(attempts + (attempts - start) * (restarts - restart - 1), node_budget)
             break
-    return NotFound(tries=attempts, zero_hits=0)
+    # dfs reaches itself through its closure: break the cycle, so `images` is freed now
+    dfs = None
+    return NotFound(tries=attempts, zero_hits=0) if found is None else found

@@ -21,7 +21,6 @@ from .partitions import (
     NotFound,
     PartitionProblem,
     check_max_tries,
-    min_feasible_q,
     sample_with_stats,
     sampler_diagnostics,
     search_assignment,
@@ -148,14 +147,15 @@ def run_pipeline(
         }
         return PipelineResult(report)
     config = build_resolution(params)
-    # Rejection sampling needs q well above the node count, so start the
-    # prime search there; if neither the sampler nor the deterministic
-    # backtracking search lands an assignment, double q and retry. A cover
-    # whose slope misses the target by epsilon or more escalates like a
-    # failed search. A pinned q is tried alone, and only an unpinned q = p steps on.
+    # Rejection sampling needs q well above the node count, which is never
+    # below `min_feasible_q`, so start the prime search there; if neither the
+    # sampler nor the deterministic backtracking search lands an assignment,
+    # double q and retry. A cover whose slope misses the target by epsilon
+    # or more escalates like a failed search. A pinned q is tried alone, and
+    # only an unpinned q = p steps on.
     if q_hint is not None:
         check_prime_q(q_hint, p)
-    q = q_hint if q_hint is not None else next_prime(max(17, min_feasible_q(params), t2))
+    q = q_hint if q_hint is not None else next_prime(max(17, t2))
     attempts_log: list[dict] = []
     for escalation in range(1 if q_hint is not None else 6):
         if escalation:

@@ -8,7 +8,6 @@ meeting there.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,15 +15,15 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .geometry import ResolvedConfiguration, log_chern_pair
-from .numtheory import DomainError, ceil_isqrt, dedekind_data, is_prime
+from .numtheory import DomainError, ceil_isqrt, check_prime_q, dedekind_data
 
 
 class InvalidAssignmentError(ValueError):
-    """A multiplicity collapsed to 0 mod q, or fell outside {1, .., q-1}."""
+    """A base multiplicity missing, unknown or 0 mod q, or a chain multiplicity 0 mod q."""
 
 
 class NegatedInverses(dict):
-    """q - nu^-1 mod q by multiplicity nu, computed on first lookup."""
+    """q - nu^-1 mod q by nu at a prime q, computed on first lookup."""
 
     def __init__(self, q: int) -> None:
         super().__init__()
@@ -46,46 +45,25 @@ def node_residues(nodes: Iterable[tuple[str, str, int]], nus: Mapping[str, int],
     return ((node, nus[node[1]] * neg_inv[nus[node[0]]] % q) for node in nodes)
 
 
-class ChainRoots(dict):
-    """The least root k >= 1 of k*s + y = 0 (mod q) in closed form, by s.
-
-    With g = gcd(s, q) and m = q/g, the equation has a root exactly when g
-    divides y, and then its least root is (y/g)*t mod m, where
-    t = -(s/g)^-1 mod m; self[s] = (g, t, m), computed on first lookup. At
-    s = 0, g = q divides no y that is nonzero mod q: there is no root. At
-    prime q and s != 0, g = 1 and the root is -y * s^-1 mod q.
-    """
-
-    def __init__(self, q: int) -> None:
-        super().__init__()
-        self.q = q
-
-    def __missing__(self, s: int) -> tuple[int, int, int]:
-        g = math.gcd(s, self.q)
-        m = self.q // g
-        value = self[s] = (g, -pow(s // g, -1, m) % m, m)
-        return value
-
-
 class ChainMultiplicities(dict):
     """Every component's multiplicity from those of the base components.
 
-    Over a tangency with section multiplicities a, b and fiber multiplicity
-    y, the k-th chain curve carries k*s + y mod q, s = a + b; it is computed
-    on first lookup. Building the mapping checks the base (every base
+    The k-th chain curve over a tangency with section multiplicities a, b
+    and fiber multiplicity y carries k*s + y mod q, s = a + b, computed on
+    first lookup. Building the mapping checks the base (every base
     component given, none 0 mod q, nothing else) and reads each tangency's
-    s and y once: its chain of n curves collapses exactly when the least
-    root k of k*s + y = 0 (mod q) (`ChainRoots`) is at most n, and
-    InvalidAssignmentError then names the first such curve. The root is
-    looked up only when y + n*s >= q: below that, no k*s + y reaches q. So
-    no chain multiplicity is computed before it is read, and a draw
-    rejected at its first nodes costs O(tangencies), not O(components).
+    s and y once. At prime q (`BranchAssignment.from_base` checks it) its
+    chain of n curves collapses exactly when k = y*(q - s^-1) mod q, the one
+    root of k*s + y = 0, is at most n. The root is read from `neg_inv`, the
+    memo node residues share, only when y + n*s >= q: below that (and at
+    s = 0) no k*s + y reaches q. So a rejected draw costs O(tangencies).
     """
 
     __slots__ = ("q", "_position", "_ends")
 
-    def __init__(self, config: ResolvedConfiguration, q: int, base: Mapping[str, int],
-                 roots: ChainRoots | None = None) -> None:
+    def __init__(self, config: ResolvedConfiguration, base: Mapping[str, int],
+                 neg_inv: NegatedInverses) -> None:
+        self.q = q = neg_inv.q
         super().__init__({cid: base.get(cid, 0) % q for cid in config.base_ids})
         if 0 in self.values():
             cid = next(cid for cid, nu in self.items() if nu == 0)
@@ -95,9 +73,6 @@ class ChainMultiplicities(dict):
         if len(base) != len(self):  # chain multiplicities are derived, not given
             unknown = next(cid for cid in base if cid not in self)
             raise InvalidAssignmentError(f"{unknown} is not a base component")
-        if roots is None:
-            roots = ChainRoots(q)
-        self.q = q
         self._position = config.chain_position
         self._ends = ends = {}  # (s, y) by the tangency's fiber
         for tang in config.tangencies:
@@ -106,10 +81,8 @@ class ChainMultiplicities(dict):
             fiber = tang.fiber
             y = self[fiber]
             n = len(tang.chain)
-            if y + n * s >= q:  # else every k*s + y, k <= n, lies in (0, q)
-                g, t, m = roots[s]
-                if not y % g and (k := y // g * t % m) <= n:
-                    raise InvalidAssignmentError(f"nu({tang.chain[k - 1]}) = 0 mod {q}")
+            if y + n * s >= q and (k := y * neg_inv[s] % q) <= n:
+                raise InvalidAssignmentError(f"nu({tang.chain[k - 1]}) = 0 mod {q}")
             ends[fiber] = (s, y)
 
     def __missing__(self, gid: str) -> int:
@@ -121,31 +94,27 @@ class ChainMultiplicities(dict):
 
 @dataclass(frozen=True)
 class BranchAssignment:
-    """Multiplicities for every component of a configuration, mod q."""
+    """Multiplicities in {1, .., q-1} for every component, at a prime q != p.
+    `from_base` is the one checked constructor; a direct call checks nothing
+    (tests use it for assignments the library would refuse)."""
 
     q: int
     nus: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        for cid, nu in self.nus.items():
-            if not 0 < nu < self.q:
-                raise InvalidAssignmentError(f"nu({cid}) = {nu} not in (0, {self.q})")
-        object.__setattr__(self, "nus", MappingProxyType(dict(self.nus)))
 
     @classmethod
     def from_base(
         cls, config: ResolvedConfiguration, q: int, base: Mapping[str, int]
     ) -> "BranchAssignment":
-        """Extend multiplicities on the non-exceptional components to the
-        chains (`ChainMultiplicities`). `base` must name exactly the base
-        components."""
-        nus = ChainMultiplicities(config, q, base)
-        return cls(q=q, nus={**nus, **{gid: nus[gid] for gid in config.chain_position}})
+        """Check q, then extend the base multiplicities to the chains
+        (`ChainMultiplicities`); `base` must name exactly the base components."""
+        check_prime_q(q, config.params.p)
+        nus = ChainMultiplicities(config, base, NegatedInverses(q))
+        for gid in config.chain_position:  # computes each chain multiplicity
+            nus[gid]
+        return cls(q, MappingProxyType(dict(nus)))
 
     def residues(self, config: ResolvedConfiguration) -> Iterator[tuple[tuple[str, str, int], int]]:
         """`node_residues` of every node of the configuration, in node order."""
-        if not is_prime(self.q):
-            raise DomainError(f"q must be prime, got {self.q}")
         return node_residues(config.nodes, self.nus, NegatedInverses(self.q))
 
 

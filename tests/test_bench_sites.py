@@ -47,3 +47,24 @@ def test_every_definition_is_used_or_hooked():
     hooked = {attr for _module, attr in sites()}
     dunder = {name for name in defined if name.startswith("__") and name.endswith("__")}
     assert sorted(defined - used - hooked - dunder) == []
+
+
+def test_branch_assignments_are_built_only_by_from_base():
+    # `BranchAssignment.from_base` checks q and the base; calling the class
+    # directly checks nothing, so no code under src/ may do it elsewhere
+    src = Path(__file__).resolve().parents[1] / "src" / "chernslope"
+
+    def calls(node, names):
+        return {(call.lineno, call.col_offset) for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) in names}
+
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        built, gated = calls(tree, {"BranchAssignment"}), set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "BranchAssignment":
+                built |= calls(cls, {"cls"})
+                gated = calls(next(f for f in cls.body if getattr(f, "name", None) == "from_base"),
+                              {"BranchAssignment", "cls"})
+                assert gated
+        assert built == gated, path.name

@@ -276,6 +276,18 @@ class TestInvalidInputExits2:
         assert proc.returncode == 2
         assert proc.stderr == "error: the APRIME pair S1, S2 does not sum to 0 mod 17\n"
 
+    # at q = p = 2 this base once printed a cover with slope 5/34 and exit 0
+    @pytest.mark.parametrize("q", [2, 91], ids=["q=p", "composite"])
+    def test_base_file_q_not_a_prime_other_than_p(self, tmp_path, q):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({**{f"S{i}": 1 for i in range(1, 7)},
+                                    **{f"F{i}": 1 for i in range(1, 11)}}))
+        proc = run_cli("cover", "--family", "A0", "--p", "2", "--d", "5", "--q", str(q),
+                       "--base-file", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: q must be a prime different from p, got {q}\n"
+
     # S9 does not exist; G1.1 is a chain curve, whose multiplicity is derived
     @pytest.mark.parametrize("extra", ["S9", "G1.1"])
     def test_base_file_key_naming_no_base_component(self, tmp_path, extra):

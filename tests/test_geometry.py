@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chernslope.geometry import (
     ArrangementParams,
@@ -14,6 +16,7 @@ from chernslope.geometry import (
     log_chern_pair,
     node_count,
 )
+from chernslope.partitions import min_feasible_q
 
 
 def a0_params(p=2, r=1, e=1, d=3, g=0):
@@ -87,6 +90,19 @@ class TestNodeCount:
                     assert component_count(params) == len(config.components)
                     checked += 1
         assert checked
+
+    @given(st.sampled_from(list(Family)), st.sampled_from([2, 3, 5, 7, 11]),
+           st.integers(1, 4), st.integers(1, 4), st.integers(2, 12),
+           st.integers(0, 3), st.integers(0, 4), st.integers(0, 4))
+    def test_never_below_min_feasible_q(self, family, p, r, e, half_d, g, u, w):
+        # `run_pipeline` starts its prime search at the node count alone
+        if family is Family.APRIME:
+            params = ArrangementParams(family, p=p, r=r, e=e, d=2 * half_d)
+        elif family is Family.A0:
+            params = ArrangementParams(family, p=p, r=r, e=e, d=half_d + 1, g=g)
+        else:
+            params = ArrangementParams(family, p=p, r=r, e=e, d=half_d + 1, g=g, u=u, w=w)
+        assert node_count(params) >= min_feasible_q(params)
 
 
 class TestStructure:

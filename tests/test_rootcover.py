@@ -122,15 +122,11 @@ class TestResidues:
                         for node in config.nodes]
             assert list(assign.residues(config)) == expected
 
-    def test_composite_q_raises_domain_error(self, small_config):
-        # the `cover --base-file` path: from_base accepts any q, residues does not
-        base = {"S1": 1, "S2": 1, "S3": 1, "H1": 1,
-                "F1": 2, "F2": 2, "F3": 2, "R1": 3, "S4": 13}
-        assign = BranchAssignment.from_base(small_config, 91, base)
-        with pytest.raises(DomainError):
-            assign.residues(small_config)
-        with pytest.raises(DomainError):
-            chern_of_cover(small_config, assign)
+    @pytest.mark.parametrize("q", [91, 2], ids=["composite", "q=p"])
+    def test_from_base_checks_q_before_the_base(self, small_config, q):
+        # small_config has p = 2; the empty base would raise InvalidAssignmentError
+        with pytest.raises(DomainError, match=f"^q must be a prime different from p, got {q}$"):
+            BranchAssignment.from_base(small_config, q, {})
 
 
 class TestCoverInvariants:
