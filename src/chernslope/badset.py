@@ -116,6 +116,13 @@ def verify_bounds(q: int, C) -> BoundReport:
 
     The two per-residue bounds are exact rational comparisons; the
     cardinality bound involves log q and is evaluated at 60 decimal digits.
+
+    One `numtheory.hj_pass` serves the orbit {a, q - a, a', q - a'}, a' the
+    inverse of a mod q. The digits of q/a' are those of q/a reversed and
+    s(q - a, q) = -s(a, q) (Hirzebruch-Zagier 1974), so all four share
+    12|s|; q - a and q - a' have the dual length sum(e_i) - 2 l + 1
+    (Riemenschneider 1974). F is closed under a -> q - a but not under
+    inversion, so each member is credited on its own, and only if good.
     """
     C = _as_positive_fraction(C)
     if q < 17 or not is_prime(q):
@@ -124,29 +131,47 @@ def verify_bounds(q: int, C) -> BoundReport:
 
     # 12*q*|s(a, q)| is an integer, so the scan compares integers and builds
     # one Fraction at the end. Its start value -q reads back as 12|s| = -1
-    # when no residue is good; ties keep the first maximal a.
-    worst_la, worst_l = 0, -1
-    worst_sa, worst_s12q = 0, -q
+    # when no residue is good. Orbits credit members out of order, so the
+    # worst entries are (value, -a): a tie keeps the least maximal a.
+    worst_l, worst_s = (-1, 0), (-q, 0)
+    # done[a] = 1 once a is bad or credited; the walk in ascending order
+    # stops at each orbit's least good member
+    done = bytearray(q)
+    done[0] = 1
+    for m in fs.members:
+        done[m] = 1
     hj_pass = numtheory.hj_pass
-    for a in fs.complement:
+    a = done.find(0)
+    while a > 0:
         digits, s12q = hj_pass(q, a)
         l = len(digits)
-        if l > worst_l:
-            worst_la, worst_l = a, l
+        inv = pow(a, -1, q)
+        # a is its orbit's least good member, and earlier orbits were
+        # credited at smaller a, so a tie on the shared 12|s| keeps theirs
+        done[a] = 1
+        if (l, -a) > worst_l:
+            worst_l = (l, -a)
         s12q = abs(s12q)
-        if s12q > worst_s12q:
-            worst_sa, worst_s12q = a, s12q
+        if s12q > worst_s[0]:
+            worst_s = (s12q, -a)
+        dual = sum(digits) - 2 * l + 1
+        for m, lm in ((inv, l), (q - a, dual), (q - inv, dual)):
+            if not done[m]:
+                done[m] = 1
+                if (lm, -m) > worst_l:
+                    worst_l = (lm, -m)
+        a = done.find(0, a + 1)
 
-    length_ok = _leq_shifted_sqrt(worst_l, 1, 2, C, q)
-    sum_ok = _leq_shifted_sqrt(worst_s12q, q, 5, C, q)
+    length_ok = _leq_shifted_sqrt(worst_l[0], 1, 2, C, q)
+    sum_ok = _leq_shifted_sqrt(worst_s[0], q, 5, C, q)
 
     return BoundReport(
         q=q,
         C=C,
         f_size=len(fs.members),
         card_bound_ok=_card_bound_ok(len(fs.members), C, q),
-        worst_length=(worst_la, worst_l),
-        worst_scaled_sum=(worst_sa, Fraction(worst_s12q, q)),
+        worst_length=(-worst_l[1], worst_l[0]),
+        worst_scaled_sum=(-worst_s[1], Fraction(worst_s[0], q)),
         length_bound_ok=length_ok,
         sum_bound_ok=sum_ok,
     )

@@ -126,14 +126,23 @@ def hj_pass(q: int, a: int) -> tuple[list[int], int]:
     inverse of a mod q (Hirzebruch-Zagier, The Atiyah-Singer theorem and
     elementary number theory, 1974). The caller passes a coprime pair
     0 < a < q (`dedekind_data` checks it); no Fraction is built, so a scan
-    over many residues stays in integers.
+    over many residues stays in integers. Each step takes two divmods for a
+    digit and the whole run of 2s after it, so the q - 1 twos of q/(q - 1)
+    cost one step.
     """
     digits = []
-    qq, aa = q, a
-    while aa > 0:
-        e = -(-qq // aa)  # ceil(qq/aa)
-        digits.append(e)
-        qq, aa = aa, e * aa - qq
+    x, y = q, a
+    while y:
+        b, r = divmod(x, y)
+        if not r:
+            digits.append(b)
+            break
+        # digit b + 1 = ceil(x/y) leaves (y, y - r); the run of 2s after it
+        # steps that pair down by r while r fits, c - 1 times, to (r + s, s)
+        digits.append(b + 1)
+        c, s = divmod(y, r)
+        digits += [2] * (c - 1)
+        x, y = r + s, s
     return digits, q * (sum(digits) - 3 * len(digits)) + a + pow(a, -1, q)
 
 

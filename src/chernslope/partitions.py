@@ -15,6 +15,7 @@ that order.
 """
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from collections.abc import Callable, Iterable, Iterator
@@ -65,10 +66,39 @@ class NotFound:
 
 
 def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
-    """Uniform composition of `total` into `parts` non-negative integers."""
+    """Uniform composition of `total` into `parts` non-negative integers.
+
+    The cuts are `rng.sample(range(n), k)` with n = total + parts - 1 and
+    k = parts - 1, drawn inline in both of `sample`'s branches (a pool up to
+    its `setsize`, a set of picks above it): the same `getrandbits` calls,
+    so the same cuts and the same generator state."""
     if parts == 1:
         return [total]
-    cuts = sorted(rng.sample(range(total + parts - 1), parts - 1))
+    n, k = total + parts - 1, parts - 1
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        cuts = []
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            cuts.append(pool[j])
+            pool[j] = pool[m - 1]
+        cuts.sort()
+    else:
+        bits = n.bit_length()
+        picked = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.add(j)
+        cuts = sorted(picked)
     prev, out = -1, []
     for c in cuts:
         out.append(c - prev - 1)
@@ -94,7 +124,12 @@ def _draw_base(problem: PartitionProblem, rng: random.Random) -> dict[str, int]:
     weight = params.e * params.chain_length
     n_x, n_y = params.d + params.u, delta + params.w
     slack = q - weight * n_x - n_y
-    x_units = rng.randint(0, slack // weight)
+    # rng.randint(0, slack // weight), drawn inline as `_composition` draws
+    width = slack // weight + 1
+    bits = width.bit_length()
+    x_units = rng.getrandbits(bits)
+    while x_units >= width:
+        x_units = rng.getrandbits(bits)
     xs = [x + 1 for x in _composition(rng, x_units, n_x)]
     ys = [y + 1 for y in _composition(rng, slack - weight * x_units, n_y)]
     base = dict(zip(sec_ids, xs))

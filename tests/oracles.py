@@ -46,6 +46,21 @@ def dedekind_sum_direct(q: int, a: int) -> Fraction:
     return Fraction(total, 4 * q * q)
 
 
+def hj_digits_direct(q: int, a: int) -> list[int]:
+    """The HJ digits of q/a one ceiling at a time: e = ceil(x/y), then
+    (x, y) -> (y, e*y - x) until y = 0. One step per digit, runs of 2s
+    included; the oracle for `numtheory.hj_pass`'s run steps."""
+    if q < 2 or not 0 < a < q or math.gcd(a, q) != 1:
+        raise DomainError(f"need coprime 0 < a < q, got a={a}, q={q}")
+    digits = []
+    x, y = q, a
+    while y:
+        e = -(-x // y)
+        digits.append(e)
+        x, y = y, e * y - x
+    return digits
+
+
 def hj_value(digits) -> Fraction:
     """Fold HJ digits back into the exact rational e1 - 1/(e2 - 1/(... - 1/es))."""
     if not digits:

@@ -187,11 +187,32 @@ def assert_same_report(got: BoundReport, want: BoundReport) -> None:
 
 
 class TestVerifyBoundsOracle:
-    @pytest.mark.parametrize("C", [ONE, Fraction(1, 2), Fraction(3, 2), Fraction(3)],
-                             ids=str)
+    # verify_bounds makes one HJ pass per orbit {a, q - a, a', q - a'} and
+    # credits its good members. Mutants checked against these tests: giving
+    # q - a and q - a' the length l instead of the dual length, or crediting
+    # members that lie in F, each fails them (the latter at q = 173, C = 5,
+    # where the bad 76 = 107^-1 shares the longest good length, 7, of 107).
+    @pytest.mark.parametrize("C", [Fraction(1, 1000), Fraction(1, 2), ONE, Fraction(3, 2),
+                                   Fraction(3), Fraction(5), Fraction(100)], ids=str)
     def test_matches_two_call_loop(self, C):
         for q in primes_between(17, 1000) + [10007]:
             assert_same_report(verify_bounds(q, C), reference_verify_bounds(q, C))
+
+    def test_orbit_with_bad_least_member(self):
+        # at q = 73, C = 3 the orbit {13, 28, 45, 60} (28' = 60) has its
+        # least member 13 in F, and with it 60 = 73 - 13, while 28 and 45
+        # are good: the orbit is taken at 28, its least good member
+        C = Fraction(3)
+        bad = set(bad_set(73, C).members)
+        assert pow(28, -1, 73) == 60 and {13, 60} <= bad and not {28, 45} & bad
+        assert_same_report(verify_bounds(73, C), reference_verify_bounds(73, C))
+
+    # the oracle takes ~2 s at q near 10^5, hence few examples
+    @given(st.integers(17, 99_991).map(next_prime),
+           st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=1000))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_two_call_loop_at_random(self, q, C):
+        assert_same_report(verify_bounds(q, C), reference_verify_bounds(q, C))
 
     # The bounds hold for every prime above, so the reports never exercise a
     # failing comparison; the integer test is checked on its own here.

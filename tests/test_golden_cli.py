@@ -17,6 +17,9 @@ FAMILY_A = ["--family", "A", "--p", "2", "--d", "3", "--u", "1", "--w", "1"]
 GOLDEN = [
     (["dedekind", "--q", "17", "--a", "5"], 0, "d33204e00dc394f5"),
     (["badset", "--q", "101", "--verify"], 0, "1f630e4612c7b488"),
+    # every HJ orbit of verify_bounds at q = 10007; one run of 9971 twos
+    (["badset", "--q", "10007", "--verify"], 0, "db7b55f4536db0ae"),
+    (["dedekind", "--q", "9973", "--a", "9972"], 0, "1410333f415385d1"),
     # the whole O(q) good set, about a million integers
     (["badset", "--q", "1000003"], 0, "7cbdf3c1ac76b6a3"),
     (["arrangement", *FAMILY_A, "--full"], 0, "f8aaa3a38a1882e5"),

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chernslope.numtheory import (
@@ -17,7 +17,7 @@ from chernslope.numtheory import (
     next_prime,
     primes_between,
 )
-from oracles import dedekind_sum_direct, hj_value, is_prime_trial
+from oracles import dedekind_sum_direct, hj_digits_direct, hj_value, is_prime_trial
 
 # psi_13 (Sorenson-Webster 2017): Miller-Rabin with bases 2..41 is exact below it
 PSI_13 = 3_317_044_064_679_887_385_961_981
@@ -76,6 +76,29 @@ class TestHjPass:
     def test_matches_defining_sum(self):
         for q, a in coprime_pairs(200):
             assert hj_pass(q, a)[1] == 12 * q * dedekind_sum_direct(q, a), (q, a)
+
+    def test_matches_ceil_loop(self):
+        # composite q included: the run step needs only gcd(a, q) = 1
+        for q, a in coprime_pairs(300):
+            assert hj_pass(q, a)[0] == hj_digits_direct(q, a), (q, a)
+
+    # a = q - k for small k makes long runs of 2s
+    @given(st.integers(2, 10**6), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_ceil_loop_at_random(self, q, data):
+        a = data.draw(st.integers(max(1, q - 40), q - 1) | st.integers(1, q - 1))
+        assume(math.gcd(a, q) == 1)
+        assert hj_pass(q, a)[0] == hj_digits_direct(q, a)
+
+    def test_orbit_identities(self):
+        # what verify_bounds reads off one pass: q/a' has the digits of q/a
+        # reversed (a' = a^-1 mod q), and q/(q - a) has the dual length
+        # sum(e_i) - 2 l + 1 (Riemenschneider)
+        for q, a in coprime_pairs(300):
+            digits = hj_pass(q, a)[0]
+            assert hj_pass(q, pow(a, -1, q))[0] == digits[::-1], (q, a)
+            dual = sum(digits) - 2 * len(digits) + 1
+            assert len(hj_pass(q, q - a)[0]) == dual, (q, a)
 
 
 class TestDedekindSum:

@@ -653,6 +653,52 @@ class TestSeededOrder:
         assert drawn.getrandbits(64) == sampled.getrandbits(64)
 
 
+def composition_via_sample(rng, total, parts):
+    """`_composition` through `rng.sample` itself (reference)."""
+    if parts == 1:
+        return [total]
+    n = total + parts - 1
+    cuts = sorted(rng.sample(range(n), parts - 1))
+    return [hi - lo - 1 for lo, hi in zip([-1, *cuts], [*cuts, n])]
+
+
+class TestSeededComposition:
+    # random.sample keeps a pool for populations n <= setsize and a set of
+    # picks above it; setsize is 21 for k <= 5 picks and 21 + 4**3 = 85 at k = 6
+    @pytest.mark.parametrize("n, k", [(n, k) for k in range(1, 6) for n in (k, 21, 22)]
+                             + [(6, 6), (85, 6), (86, 6), (200, 40), (9000, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, "7:3"])
+    def test_matches_random_sample(self, seed, n, k):
+        # the same composition, and the generator left in the same state
+        drawn, sampled = random.Random(seed), random.Random(seed)
+        got = partitions._composition(drawn, n - k, k + 1)
+        assert got == composition_via_sample(sampled, n - k, k + 1)
+        assert drawn.getrandbits(64) == sampled.getrandbits(64)
+
+    def test_single_part_draws_nothing(self):
+        drawn, fresh = random.Random(5), random.Random(5)
+        assert partitions._composition(drawn, 17, 1) == [17]
+        assert drawn.getrandbits(64) == fresh.getrandbits(64)
+
+    @pytest.mark.parametrize("q", [13, 17, 23, 101, 4001])
+    def test_draw_base_matches_randint(self, family_a_config, q):
+        # q = 13 is the least feasible q: slack 1 and randint(0, 0)
+        config, params = family_a_config, family_a_config.params
+        problem = PartitionProblem(config, q)
+        weight = params.e * params.chain_length
+        n_x, n_y = params.d + params.u, params.delta + params.w
+        slack = q - weight * n_x - n_y
+        for t in range(40):
+            drawn, sampled = random.Random(f"0:{t}"), random.Random(f"0:{t}")
+            base = partitions._draw_base(problem, drawn)
+            x_units = sampled.randint(0, slack // weight)
+            xs = composition_via_sample(sampled, x_units, n_x)
+            ys = composition_via_sample(sampled, slack - weight * x_units, n_y)
+            assert [base[c] - 1 for c in config.section_ids[:-1]] == xs
+            assert [base[f] - 1 for f in config.fiber_ids] == ys
+            assert drawn.getrandbits(64) == sampled.getrandbits(64)
+
+
 def plain_reach_step(cur, sol, target):
     """One subset-sum step by one shift per value of sol (reference)."""
     nxt = 0
