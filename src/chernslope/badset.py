@@ -144,8 +144,8 @@ def verify_bounds(q: int, C) -> BoundReport:
     a = done.find(0)
     while a > 0:
         digits, s12q = hj_pass(q, a)
-        l = len(digits)
-        inv = pow(a, -1, q)
+        l, total = len(digits), sum(digits)
+        inv = s12q - q * (total - 3 * l) - a  # a' from 12q*s, as hj_pass sums it
         # a is its orbit's least good member, and earlier orbits were
         # credited at smaller a, so a tie on the shared 12|s| keeps theirs
         done[a] = 1
@@ -154,7 +154,7 @@ def verify_bounds(q: int, C) -> BoundReport:
         s12q = abs(s12q)
         if s12q > worst_s[0]:
             worst_s = (s12q, -a)
-        dual = sum(digits) - 2 * l + 1
+        dual = total - 2 * l + 1
         for m, lm in ((inv, l), (q - a, dual), (q - inv, dual)):
             if not done[m]:
                 done[m] = 1

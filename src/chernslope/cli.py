@@ -20,7 +20,8 @@ from . import nefcheck, pipeline, prank
 from .badset import bad_set, verify_bounds
 from .geometry import ArrangementParams, Family, build_resolution, log_chern_closed, log_chern_pair
 from .numtheory import dedekind_data, is_prime, primes_between
-from .partitions import NotFound, PartitionProblem, check_base, check_max_tries, sampler_diagnostics
+from .partitions import (DEFAULT_MAX_TRIES, NotFound, PartitionProblem, check_base,
+                         check_max_tries, sampler_diagnostics)
 # cli never calls these itself (`pipeline.find_assignment` does), but the
 # capture and tracing hooks in perfbench/ look them up on this module with
 # getattr, so they stay importable from it.
@@ -322,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_options(s)
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-tries", type=int, default=200)
+    s.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES)
     s.set_defaults(func=_cmd_search)
 
     s = sub.add_parser("cover", help="Chern numbers of the degree-q cover")
     _add_family_options(s)
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-tries", type=int, default=200)
+    s.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES)
     s.add_argument("--base-file", help="JSON file of component multiplicities (skips sampling)")
     s.add_argument("--singularities", action="store_true")
     s.set_defaults(func=_cmd_cover)
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-sample", action="store_true")
     s.add_argument("--component-cap", type=int, default=pipeline.DEFAULT_COMPONENT_CAP)
     s.add_argument("--node-cap", type=int, default=pipeline.DEFAULT_NODE_CAP)
-    s.add_argument("--max-tries", type=int, default=200)
+    s.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES)
     s.set_defaults(func=_cmd_slope)
 
     s = sub.add_parser("prank", help="genus and p-rank bound of cyclic cover data")
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q-min", type=int, required=True)
     s.add_argument("--q-max", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-tries", type=int, default=200)
+    s.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES)
     s.add_argument("--out", help="output CSV path (default: stdout)")
     s.set_defaults(func=_cmd_sweep)
 

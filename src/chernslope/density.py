@@ -19,6 +19,7 @@ TARGET_PRECISION = 10**12  # denominator cap when ingesting float targets
 R_CAP = 400  # family A: largest exponent r tried
 Y_CAP = 200  # APRIME ladder: largest exponent y tried
 E_CAP = 10**6  # APRIME ladder: largest e tried
+L_CAP = 10**7  # APRIME small-offset route: l is tried below it
 
 
 def as_fraction(x) -> Fraction:
@@ -145,9 +146,7 @@ def solve_family_a(
     return SolvedParams(x, eps, params, achieved, error, status, diagnostics)
 
 
-def solve_family_aprime(
-    target, epsilon, p: int = 2, l_cap: int = 10**7
-) -> SolvedParams:
+def solve_family_aprime(target, epsilon, p: int = 2) -> SolvedParams:
     """Family APRIME parameters (e, r, l) within epsilon of target.
 
     For offsets above epsilon/3 the prime-power ladder is used: an integer
@@ -155,14 +154,14 @@ def solve_family_aprime(
     eps/3), then l = n*p^y and r = z + y with y, e scanned until the two
     remaining thirds of the budget close. Targets at (or within epsilon/3
     of) 2 fall back to e = 1, r = 1 and the first l whose offset is within
-    epsilon, found by bisection (`cap_hit` if it is not below l_cap).
+    epsilon, found by bisection (`cap_hit` if it is not below L_CAP).
     """
     x, eps = _checked_inputs(target, epsilon, p)
     alpha = x - 2
 
     if alpha <= eps / 3:
         # The slope offset f(l) decreases to 0 like p/(2l); find the first l
-        # in [3, l_cap) with |f(l) - alpha| < eps, i.e. f(l) < alpha + eps
+        # in [3, L_CAP) with |f(l) - alpha| < eps, i.e. f(l) < alpha + eps
         # (f > 0 > alpha - eps there). f is unimodal on l >= 3:
         # f(l) - f(l+1) has the sign of l(l+1)(h(l) - 2p) with
         # h(l) = (8l^4 - 24l^3 - 18l^2 - 2l + 12) / (l(l+1)) increasing
@@ -172,8 +171,6 @@ def solve_family_aprime(
         # and no such l gives a prime p.
         # Unless l = 3 passes, the pass test is therefore monotone in l, and
         # doubling then bisection finds the first passing l.
-        if l_cap <= 3:
-            raise DomainError(f"l_cap must exceed 3, got {l_cap}")
         bound = alpha + eps
 
         def offset(l: int) -> Fraction:
@@ -182,11 +179,11 @@ def solve_family_aprime(
         def passes(l: int) -> bool:
             return offset(l) < bound
 
-        last = l_cap - 1
+        last = L_CAP - 1
         if passes(3):
             l, status = 3, "ok"
         elif not passes(last):
-            # nothing passes below l_cap: every err is f(l) - alpha, least
+            # nothing passes below L_CAP: every err is f(l) - alpha, least
             # at an end of the unimodal range (the first on a tie)
             l, status = last, "cap_hit"
             if offset(3) <= offset(last):

@@ -3,22 +3,22 @@
 The multiplicity data of a degree-q cover is a solution of a weighted
 composition problem (families A0/A: e*p^r per section unknown plus 1 per
 fiber unknown summing to q; APRIME: a length-l partition of q for the
-paired sections and a length-delta one for the fibers). `residue_rule`
+paired sections and a length-delta one for the fibers). `residue_rules`
 says which residues each node may carry, as a small set: all but 0 and the
 bad set F, except at the structurally exempt full-turn nodes of APRIME's
-paired tangencies, which must carry q - 1. `sample_with_stats` draws uniform compositions of the
-residual after assigning 1 everywhere and keeps a draw that obeys the rule
-(`sampler_diagnostics` replays a failed run's draws for the reports that
-say how close they came); `search_assignment` is the deterministic
-backtracking search for the cases where such draws are too rare. `pipeline.find_assignment` runs the two in
-that order.
+paired tangencies, which must carry q - 1. `sample_with_stats` draws uniform
+compositions of the residual after assigning 1 everywhere and keeps a draw
+that obeys the rules (`sampler_diagnostics` replays a failed run's draws for
+the reports that say how close they came); `search_assignment` is the
+deterministic backtracking search for the cases where such draws are too
+rare. `pipeline.find_assignment` runs the two in that order.
 """
 from __future__ import annotations
 
 import math
 import random
 from array import array
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -35,6 +35,8 @@ from .rootcover import (
     NegatedInverses,
     node_residues,
 )
+
+DEFAULT_MAX_TRIES = 200  # the sampler's draws when the caller names no count
 
 
 def min_feasible_q(params) -> int:
@@ -168,14 +170,14 @@ def check_base(config: ResolvedConfiguration, q: int, base: dict[str, int]) -> N
 Rule = tuple[bool, frozenset[int]]
 
 
-def residue_rule(config: ResolvedConfiguration, q: int) -> Callable[[tuple[str, str, int]], Rule]:
-    """The residues each node may carry at q, as a function of the node
-    returning a rule (allow, listed): residue a is allowed exactly when
+def residue_rules(config: ResolvedConfiguration, q: int) -> tuple[Rule, ...]:
+    """The residues each node may carry at q, one rule (allow, listed) per
+    node in node order: residue a is allowed exactly when
     `(a in listed) is allow`. Exempt nodes get (True, {q - 1}), the full
     turn only; the others (False, {0} | F), all but 0 and the bad set F."""
     good = (False, frozenset(badset.bad_set(q, 1).members).union((0,)))
     full_turn = (True, frozenset((q - 1,)))
-    return lambda node: full_turn if node in config.exempt_nodes else good
+    return tuple(full_turn if node in config.exempt_nodes else good for node in config.nodes)
 
 
 @dataclass(frozen=True)
@@ -193,9 +195,8 @@ def _bad_nodes(residues: Iterable[tuple[tuple[str, str, int], int]],
 
 
 def verify_asymptotic(config: ResolvedConfiguration, assign: BranchAssignment) -> AsymptoticReport:
-    """Check every node residue against `residue_rule`."""
-    rules = map(residue_rule(config, assign.q), config.nodes)
-    bad = tuple(_bad_nodes(assign.residues(config), rules))
+    """Check every node residue against `residue_rules`."""
+    bad = tuple(_bad_nodes(assign.residues(config), residue_rules(config, assign.q)))
     return AsymptoticReport(ok=not bad, bad_nodes=bad)
 
 
@@ -215,7 +216,7 @@ def _draws(
     when a node reading it is consumed (`ChainMultiplicities`), so a draw
     dropped at an early node costs O(tangencies + nodes read)."""
     config, q = problem.config, problem.q
-    rules = list(map(residue_rule(config, q), config.nodes))
+    rules = residue_rules(config, q)
     neg_inv = NegatedInverses(q)
     for t in range(max_tries):
         base = _draw_base(problem, random.Random(f"{seed}:{t}"))
@@ -228,10 +229,10 @@ def _draws(
 
 
 def sample_with_stats(
-    problem: PartitionProblem, seed: int, max_tries: int = 200
+    problem: PartitionProblem, seed: int, max_tries: int = DEFAULT_MAX_TRIES
 ) -> tuple[BranchAssignment | NotFound, int]:
     """Seeded rejection sampling: returns (the first draw that obeys
-    `residue_rule`, draws used), or (NotFound, max_tries).
+    `residue_rules`, draws used), or (NotFound, max_tries).
 
     A draw is dropped at its first bad node, and only the kept draw becomes
     a `BranchAssignment`; `sampler_diagnostics` replays the same draws for
@@ -292,7 +293,7 @@ class NodeImages(dict):
 
         {v in Z/q : some allowed a has a*(a1*v + b1) + (a2*v + b2) = 0},
 
-    for a rule (allow, listed) from `residue_rule`, held under the key
+    for a rule (allow, listed) from `residue_rules`, held under the key
     (rule, a1, b1, a2, b2) as an int with bit v set. It includes every v at
     which both ends vanish, since every a then works. Shifting v by
     t = b1/a1 (or b2/a2 when a1 = 0) turns the image into a bit rotation of
@@ -421,9 +422,9 @@ def search_assignment(
     cut below the power of two above its bound) against its mask.
     Phase 2 reads node ends from one table, form[c] = (alpha, beta): c's
     multiplicity is alpha*v + beta in the current unknown v. It intersects,
-    per fiber, the images of that fiber's nodes, keeps values 1..cap with
-    nonzero chain multiplicities, and solves the remaining sum constraint by
-    a bitset subset-sum sweep over the fibers (`_reach_step`).
+    per fiber, the images of that fiber's nodes, keeps values 1..cap, and
+    solves the remaining sum constraint by a bitset subset-sum sweep over
+    the fibers (`_reach_step`).
 
     One attempt is one phase-1 candidate tried (passing or not) or one
     phase-2 node image intersected; each of 8 seeded restarts gets a slice
@@ -439,7 +440,7 @@ def search_assignment(
     params = cfg.params
     q = problem.q
     paired = cfg.family is Family.APRIME
-    allowed = residue_rule(cfg, q)
+    rules = residue_rules(cfg, q)
     images = NodeImages(q)
     steps = _section_steps(problem)
     n_steps = len(steps)
@@ -456,13 +457,13 @@ def search_assignment(
     # its fiber's phase-2 constraints as (rule, first end, second end).
     ahead: list[list[tuple[int, Rule, bool]]] = [[] for _ in range(n_steps)]
     fiber_nodes: dict[str, list[tuple[Rule, str, str]]] = {f: [] for f in fiber_ids}
-    for node, fiber in zip(cfg.nodes, cfg.node_fibers):
+    for node, fiber, rule in zip(cfg.nodes, cfg.node_fibers, rules):
         i, j, _count = node
         if fiber is not None:
-            fiber_nodes[fiber].append((allowed(node), i, j))
+            fiber_nodes[fiber].append((rule, i, j))
         elif i in pos and j in pos and pos[i] != pos[j]:
             early, late = sorted((pos[i], pos[j]))
-            ahead[early].append((late, allowed(node), pos[i] == early))
+            ahead[early].append((late, rule, pos[i] == early))
         else:
             raise ValueError(f"section node {node} does not join the components of two search steps")
 
@@ -478,11 +479,11 @@ def search_assignment(
 
         Each fiber's feasible values are the intersection of its nodes'
         images (one attempt each, stopping at the first empty
-        intersection), cut to 1..cap and to nonzero chain multiplicities.
-        A bitset subset-sum sweep (bit s of reach[t] says the first t
-        fibers can sum to s) then decides the sum-to-target equation
-        exactly, and a backward walk sets one solution in the table, in
-        value orders drawn from the restart's generator.
+        intersection), cut to 1..cap. A bitset subset-sum sweep (bit s of
+        reach[t] says the first t fibers can sum to s) then decides the
+        sum-to-target equation exactly, and a backward walk sets one
+        solution in the table, in value orders drawn from the restart's
+        generator.
         """
         nonlocal attempts
         # target >= n_y: dfs's hi leaves reserve = n_y in A0/A, and
@@ -494,8 +495,7 @@ def search_assignment(
         for f in fiber_ids:
             # the fiber is v; the k-th curve of its chain is v + k*(nu_a + nu_b)
             form[f] = (1, 0)
-            tang = tangency_of.get(f)
-            if tang is not None:
+            if (tang := tangency_of.get(f)) is not None:
                 ends = sum(form[c][1] for c in tang.sections)
                 for k, gid in enumerate(tang.chain, start=1):
                     form[gid] = (1, k * ends % q)
@@ -507,10 +507,10 @@ def search_assignment(
                 sol &= images[(rule, *form[i], *form[j])]
                 if not sol:
                     return False
-            # values 1..cap at which the chain's multiplicities stay nonzero
+            # No chain multiplicity vanishes on 1..cap: G_k = 0 only at
+            # v = -k*(nu_a + nu_b), where node F-G_1 or G_{k-1}-G_k has
+            # residue 0, which every rule refuses, or else at v = 0
             sol &= window
-            for gid in tang.chain if tang else ():
-                sol &= ~(1 << (-form[gid][1] % q))
             if not sol:
                 return False
             feasible.append(sol)

@@ -18,6 +18,7 @@ from .geometry import Family, ResolvedConfiguration, build_resolution, component
 from .nefcheck import closed_entries, t_value
 from .numtheory import DomainError, check_prime_q, next_prime
 from .partitions import (
+    DEFAULT_MAX_TRIES,
     NotFound,
     PartitionProblem,
     check_max_tries,
@@ -93,7 +94,7 @@ def run_pipeline(
     sample: bool = True,
     component_cap: int = DEFAULT_COMPONENT_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
-    max_tries: int = 200,
+    max_tries: int = DEFAULT_MAX_TRIES,
 ) -> PipelineResult:
     check_max_tries(max_tries)
     family = Family(family)

@@ -83,6 +83,31 @@ def node_residue(nu_i: int, nu_j: int, q: int) -> int:
     return (-nu_j * pow(nu_i, -1, q)) % q
 
 
+def c1sq_from_canonical_class(config, assign) -> Fraction:
+    """c1^2 of the resolved degree-q cover from its canonical class: the
+    reference for `rootcover.chern_of_cover(...).c1sq`.
+
+    On the normal cover, K = pi^*(K_Y + (1 - 1/q) D) with D the reduced
+    branch divisor, so K^2 = q (K_Y + (1 - 1/q) D)^2. The census gives
+    K_Y^2 = c1sq_ambient, D_i^2 = self_int, K_Y.D_i = 2 g_i - 2 - D_i^2 and
+    D_i.D_j from the nodes. Resolving a node of residue a, a point of type
+    1/q(1, a), adds 2 - (2 + a + a')/q - sum(b_i - 2) to K^2, with b_i the
+    HJ digits of q/a and a' = a^-1 mod q, from the discrepancies
+    (Barth-Hulek-Peters-Van de Ven, ch. III): 1/4(1, 1) adds -1 and A_{q-1}
+    adds 0. It reads no log Chern number, Dedekind sum or closed form.
+    """
+    q, nus = assign.q, assign.nus
+    t = Fraction(q - 1, q)
+    k_dot_d = sum(2 * c.genus - 2 - c.self_int for c in config.components)
+    d_sq = sum(c.self_int for c in config.components) + 2 * sum(n for _, _, n in config.nodes)
+    k_sq = q * (config.c1sq_ambient + 2 * t * k_dot_d + t * t * d_sq)
+    for i, j, n in config.nodes:
+        a = node_residue(nus[i], nus[j], q)
+        digit_excess = sum(b - 2 for b in hj_digits_direct(q, a))
+        k_sq += n * (2 - Fraction(2 + a + pow(a, -1, q), q) - digit_excess)
+    return k_sq
+
+
 def genus_via_cohomology(data: CyclicCoverData) -> int:
     """The genus as the sum of all eigenspace dimensions of H^1."""
     return sum(h1_dim(i, data) for i in range(1, data.q))

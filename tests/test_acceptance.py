@@ -5,10 +5,13 @@ pytest -v the test name itself serves as the line. Later criteria reuse
 the assignments produced by earlier ones via module-level caches.
 """
 import itertools
+import json
 import math
 import random
 import time
 from fractions import Fraction
+
+import pytest
 
 from chernslope.badset import verify_bounds
 from chernslope.density import solve_family_a, solve_family_aprime
@@ -28,7 +31,7 @@ from chernslope.numtheory import (
     next_prime,
     primes_between,
 )
-from chernslope.partitions import NotFound, PartitionProblem, search_assignment
+from chernslope.partitions import NotFound, PartitionProblem, search_assignment, verify_asymptotic
 from chernslope.pipeline import run_pipeline
 from chernslope.prank import CyclicCoverData, genus, prank_upper_bound
 from chernslope.nefcheck import closed_entries, config_entries, min_nef_q
@@ -245,3 +248,32 @@ def test_criterion_11_pipeline_reruns_are_byte_identical(aprime_result):
     first = aprime_result.to_json()
     second = run_pipeline(**kwargs).to_json()
     _verdict(11, first == second, f"{len(first)} bytes")
+
+
+def _rational(value) -> Fraction:
+    """A report's exact rational, {"num", "den"}, as a Fraction."""
+    return Fraction(int(value["num"]), int(value["den"]))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_criterion_12_slopes_above_three(slope_above_three, p):
+    # the paper's headline at two characteristics: c1^2/c2 > 3, which
+    # Bogomolov-Miyaoka-Yau forbids in characteristic 0
+    code, stdout, config, assign = slope_above_three(p)
+    report = json.loads(stdout)
+    sampled = report["sampled"]
+    c1sq, c2, chi, slope, c_corr = (_rational(sampled[k])
+                                    for k in ("c1sq", "c2", "chi", "slope", "c_correction"))
+    inv = chern_of_cover(config, assign)
+    checks = {
+        "exit 0, status ok": code == 0 and report["status"] == "ok",
+        "report built from the assignment": (sampled["q"], c1sq, c2) == (assign.q, inv.c1sq, inv.c2),
+        "c1^2 > 0 and c2 > 0": c1sq > 0 and c2 > 0,
+        "slope = c1^2/c2 > 3": slope == c1sq / c2 and slope > 3,
+        "|slope - 7/2| < 1": abs(slope - Fraction(7, 2)) < 1,
+        "chi integral": chi.denominator == 1,
+        "residues good": verify_asymptotic(config, assign).ok,
+        "c_correction <= defect_bound": c_corr <= sampled["defect_bound"],
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    _verdict(12, not failed, ", ".join(failed) or f"p = {p}, q = {assign.q}, slope {slope}")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chernslope import density
 from chernslope.density import (
     find_uv,
     lambda_fn,
@@ -10,7 +11,6 @@ from chernslope.density import (
     solve_family_aprime,
 )
 from chernslope.geometry import limit_slope
-from chernslope.numtheory import DomainError
 
 TARGETS = [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(314159, 100000),
            Fraction(4), Fraction(10)]
@@ -90,9 +90,9 @@ def small_offset_scan(target, eps, p, l_cap):
     return (*best, "cap_hit")
 
 
-def assert_matches_scan(target, eps, p, l_cap=10**7):
-    solved = solve_family_aprime(target, eps, p=p, l_cap=l_cap)
-    l, frac, err, status = small_offset_scan(target, eps, p, l_cap)
+def assert_matches_scan(target, eps, p):
+    solved = solve_family_aprime(target, eps, p=p)
+    l, frac, err, status = small_offset_scan(target, eps, p, density.L_CAP)
     assert solved.diagnostics == {"route": "small-offset scan", "l": l}
     assert solved.params.d == 2 * l
     assert (solved.params.r, solved.params.e) == (1, 1)
@@ -118,10 +118,7 @@ class TestSmallOffsetRoute:
             assert_matches_scan(Fraction(2), eps, 101)
 
     @pytest.mark.parametrize("p, l_cap", [(2, 500), (2, 5), (101, 6), (101, 200)])
-    def test_cap_hit_keeps_least_error_l(self, p, l_cap):
-        assert_matches_scan(Fraction(2), Fraction(1, 1000), p, l_cap)
-        assert solve_family_aprime(2, Fraction(1, 1000), p=p, l_cap=l_cap).status == "cap_hit"
-
-    def test_cap_without_range_rejected(self):
-        with pytest.raises(DomainError):
-            solve_family_aprime(2, Fraction(1, 1000), l_cap=3)
+    def test_cap_hit_keeps_least_error_l(self, monkeypatch, p, l_cap):
+        monkeypatch.setattr(density, "L_CAP", l_cap)
+        assert_matches_scan(Fraction(2), Fraction(1, 1000), p)
+        assert solve_family_aprime(2, Fraction(1, 1000), p=p).status == "cap_hit"

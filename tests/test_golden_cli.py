@@ -47,6 +47,11 @@ GOLDEN = [
 ]
 
 
+# Slopes above 3 at p = 3 and p = 5 (`slope --target 7/2 --eps 1 --family
+# APRIME --seed 0 --p P`), one run each, shared with tests/test_acceptance.py
+SLOPE_ABOVE_THREE = [(3, "e137d2cb35d4b7ca"), (5, "2fecc3602d676011")]
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -58,6 +63,13 @@ def run_main(argv):
 def test_stdout_hash(argv, code, digest):
     got_code, stdout = run_main(argv)
     assert got_code == code
+    assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("p, digest", SLOPE_ABOVE_THREE, ids=["p=3", "p=5"])
+def test_slope_above_three_stdout_hash(slope_above_three, p, digest):
+    code, stdout, _config, _assign = slope_above_three(p)
+    assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == digest
 
 

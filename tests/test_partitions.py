@@ -25,7 +25,7 @@ from chernslope.partitions import (
     NodeImages,
     NotFound,
     PartitionProblem,
-    residue_rule,
+    residue_rules,
     sample_with_stats,
     sampler_diagnostics,
     search_assignment,
@@ -78,7 +78,7 @@ def good_table(q) -> bytes:
 
 
 def rules_of(table) -> list:
-    """A residue table as `residue_rule` rules (allow, listed), both ways:
+    """A residue table as `residue_rules` rules (allow, listed), both ways:
     listing the allowed residues, and listing the others."""
     return [(allow, frozenset(a for a, byte in enumerate(table) if byte == allow))
             for allow in (True, False)]
@@ -632,7 +632,7 @@ class TestBacktrackingSearch:
         # section node's ends apart; this one bans 0 and 2..q/4
         q = 101
         rule = (False, frozenset(range(2, q // 4)) | {0})
-        monkeypatch.setattr(partitions, "residue_rule", lambda config, q: lambda node: rule)
+        monkeypatch.setattr(partitions, "residue_rules", lambda config, q: (rule,) * len(config.nodes))
         for seed in range(6):
             result = search_assignment(PartitionProblem(family_a_config, q), seed=seed)
             assert verify_asymptotic(family_a_config, result).ok
@@ -819,6 +819,92 @@ class TestExhaustionOracle:
             assert verify_asymptotic(config, result).ok
 
 
+def chain_zeros_kept(config, q, sections):
+    """Where phase 2's node images keep a chain curve's zero, for section
+    values `sections` (reference): the forms are `solve_fibers`' (the fiber
+    is v, G_k is v + k*E with E the tangent sections' sum) and G_k vanishes
+    at v = -k*E. Returns (curves whose nonzero zero the intersection of
+    their fiber's images keeps, nodes whose own image keeps the zero of one
+    end while the other end is nonzero)."""
+    images = NodeImages(q)
+    rules = dict(zip(config.nodes, residue_rules(config, q)))
+    in_intersection, at_node = [], []
+    for tang in config.tangencies:
+        ends = sum(sections[c] for c in tang.sections)
+        form = {c: (0, x) for c, x in sections.items()}
+        form[tang.fiber] = (1, 0)
+        zero = {}
+        for k, gid in enumerate(tang.chain, start=1):
+            form[gid] = (1, k * ends % q)
+            zero[gid] = -k * ends % q
+        sol = images.full
+        for node, fiber in zip(config.nodes, config.node_fibers):
+            if fiber != tang.fiber:
+                continue
+            i, j, _count = node
+            img = images[(rules[node], *form[i], *form[j])]
+            sol &= img
+            for end, other in ((i, j), (j, i)):
+                v = zero.get(end)
+                a, b = form[other]
+                if v is not None and (a * v + b) % q and (img >> v) & 1:
+                    at_node.append((node, end))
+        in_intersection += [gid for gid, v in zero.items() if v and (sol >> v) & 1]
+    return in_intersection, at_node
+
+
+class TestChainZerosOutOfImages:
+    """Phase 2 applies no chain-collapse mask: for E = nu_a + nu_b != 0 the
+    zero v = -k*E of G_k is refused by each node with G_k at one end and a
+    nonzero other end (residue 0 or undefined there), so the fiber's images
+    never keep it; for E = 0 it is v = 0, which the window drops."""
+
+    PARAMS = [
+        ArrangementParams(Family.A, p=2, r=2, e=1, d=3, u=1, w=1),
+        ArrangementParams(Family.A, p=3, r=1, e=1, d=4, u=2, w=1),
+        ArrangementParams(Family.APRIME, p=3, r=1, e=1, d=6),  # paired and unpaired tangencies
+        ArrangementParams(Family.APRIME, p=2, r=2, e=1, d=6),
+    ]
+
+    @staticmethod
+    def sections(config, q, seed, cancel):
+        """Section values in 1..q-1, APRIME's pairs summing to q; with
+        `cancel`, the first tangency's sections also sum to 0 mod q."""
+        rng = random.Random(seed)
+        values = {c: rng.randrange(1, q) for c in config.section_ids}
+        if config.family is Family.APRIME:
+            for a, b in zip(config.section_ids[0::2], config.section_ids[1::2]):
+                values[b] = q - values[a]
+        if cancel:
+            a, b = config.tangencies[0].sections
+            values[b] = q - values[a]
+        return values
+
+    @given(st.sampled_from(PARAMS), st.sampled_from(primes_between(17, 400)),
+           st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_images_never_keep_a_chain_zero(self, params, q, seed, cancel):
+        assume(q != params.p)
+        config = drawn_config(params)
+        assert chain_zeros_kept(config, q, self.sections(config, q, seed, cancel)) == ([], [])
+
+    def test_mutant_keeping_first_end_zeros_fails(self, monkeypatch):
+        # The intersection still drops every zero here: each G_k is also the
+        # second end of a node of its fiber. The per-node check catches it.
+        evaluate = NodeImages._evaluate
+
+        def keeps_first_end_zero(self, rule, a1, b1, a2, b2):
+            img = evaluate(self, rule, a1, b1, a2, b2)
+            if a1:
+                img |= 1 << (-b1 * pow(a1, -1, self.q) % self.q)
+            return img
+
+        monkeypatch.setattr(NodeImages, "_evaluate", keeps_first_end_zero)
+        config = drawn_config(self.PARAMS[0])
+        _kept, at_node = chain_zeros_kept(config, 101, self.sections(config, 101, 0, False))
+        assert at_node
+
+
 class TestNodeImages:
     @pytest.mark.parametrize("q", [41, 101, 499, 3847])
     def test_matches_moebius_reference(self, q):
@@ -883,10 +969,10 @@ class TestResidueRule:
         for q in primes_between(17, 1000):
             good = set(bad_set(q, 1).complement)
             for config in (family_a_config, paired_config):
-                rule_at = residue_rule(config, q)
+                rules = residue_rules(config, q)
+                assert len(rules) == len(config.nodes)
                 allowed = {}  # every node shares one of two rules
-                for node in config.nodes:
-                    rule = rule_at(node)
+                for node, rule in zip(config.nodes, rules):
                     if rule not in allowed:
                         allowed[rule] = allowed_by(rule, q)
                     expected = {q - 1} if node in config.exempt_nodes else good

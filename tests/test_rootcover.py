@@ -20,7 +20,8 @@ from chernslope.rootcover import (
     chern_of_cover,
     defect_bound,
 )
-from oracles import node_residue
+import oracles
+from oracles import c1sq_from_canonical_class, node_residue
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +289,53 @@ class TestChiOracle:
         gid = config.tangencies[0].chain[0]
         nus = {**assign.nus, gid: assign.nus[gid] % (assign.q - 1) + 1}
         assert chi_from_eigensheaves(config, BranchAssignment(q=assign.q, nus=nus)) != chi
+
+
+class TestC1sqOracle:
+    """c1^2 from the canonical class (`oracles.c1sq_from_canonical_class`)
+    against `chern_of_cover`, which reaches it through the log Chern numbers
+    and Dedekind sums."""
+
+    @staticmethod
+    def drawn_cover(params, q, seed):
+        """A sampler draw at q, good residues or not, or None if it collapses."""
+        config = drawn_config(params)
+        base = partitions._draw_base(PartitionProblem(config, q), random.Random(seed))
+        try:
+            assign = BranchAssignment.from_base(config, q, base)
+            return config, assign, chern_of_cover(config, assign)
+        except InvalidAssignmentError:
+            return None  # a chain multiplicity is 0 mod q, or c2 vanishes
+
+    @given(st.sampled_from(TestCoverInvariants.DRAWN), st.sampled_from(primes_between(17, 400)),
+           st.integers(0, 2**64))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_chern_of_cover_on_drawn_covers(self, params, q, seed):
+        assume(q != params.p and q >= partitions.min_feasible_q(params))
+        cover = self.drawn_cover(params, q, seed)
+        assume(cover is not None)
+        config, assign, inv = cover
+        assert c1sq_from_canonical_class(config, assign) == inv.c1sq
+
+    MUTANT_COVERS = [(TestCoverInvariants.DRAWN[1], 101, 0), (TestCoverInvariants.DRAWN[3], 103, 0)]
+
+    @pytest.mark.parametrize("params, q, seed", MUTANT_COVERS, ids=["A", "APRIME"])
+    def test_one_digit_sum_off_by_one_breaks_agreement(self, monkeypatch, params, q, seed):
+        config, assign, inv = self.drawn_cover(params, q, seed)
+        digits_of = oracles.hj_digits_direct
+        calls = []
+
+        def first_node_off_by_one(q, a):
+            digits = digits_of(q, a)
+            calls.append(a)
+            return [digits[0] + 1, *digits[1:]] if len(calls) == 1 else digits
+
+        monkeypatch.setattr(oracles, "hj_digits_direct", first_node_off_by_one)
+        assert c1sq_from_canonical_class(config, assign) != inv.c1sq
+        assert len(calls) == len(config.nodes)
+
+    @pytest.mark.parametrize("params, q, seed", MUTANT_COVERS, ids=["A", "APRIME"])
+    def test_wrong_ambient_c1sq_breaks_agreement(self, params, q, seed):
+        config, assign, inv = self.drawn_cover(params, q, seed)
+        wrong = replace(config, c1sq_ambient=config.c1sq_ambient - 1)
+        assert c1sq_from_canonical_class(wrong, assign) != inv.c1sq
