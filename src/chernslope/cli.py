@@ -146,11 +146,8 @@ def _cmd_search(args) -> int:
     config = build_resolution(_params_from_args(args))
     result, draws, method = pipeline.find_assignment(config, args.q, args.seed, args.max_tries)
     if isinstance(result, NotFound):
-        fewest_bad, worst_node = sampler_diagnostics(
-            PartitionProblem(config, args.q), args.seed, args.max_tries)
-        _emit({"status": "not_found", "tries": draws, "zero_hits": result.zero_hits,
-               "fewest_bad": fewest_bad,
-               "worst_node": list(worst_node) if worst_node else None})
+        _emit({"status": "not_found", "tries": draws,
+               **sampler_diagnostics(PartitionProblem(config, args.q), args.seed, args.max_tries)})
         return EXIT_NOT_FOUND
     _emit({"status": "ok", "q": result.q, "tries": draws, "method": method,
            "nus": dict(result.nus)})
@@ -268,8 +265,8 @@ def _cmd_sweep(args) -> int:
     config = build_resolution(params)
     _, _, limit = log_chern_closed(params)
     primes = [q for q in primes_between(args.q_min, args.q_max) if q != params.p]
-    tasks = [(config, limit, q, _per_q_seed(args.seed, q), args.max_tries) for q in primes]
-    rows = [_sweep_row(t) for t in tasks]  # in prime order
+    rows = [_sweep_row((config, limit, q, _per_q_seed(args.seed, q), args.max_tries))
+            for q in primes]  # in prime order
 
     fieldnames = ["q", "seed", "status", "tries", "c1sq", "c2", "chi", "slope_approx",
                   "limit_slope_approx", "abs_err_approx", "c_correction", "defect_bound"]

@@ -143,10 +143,6 @@ class ResolvedConfiguration:
     exempt_nodes: frozenset[tuple[str, str, int]]
 
     @property
-    def family(self) -> Family:
-        return self.params.family
-
-    @property
     def t2(self) -> int:
         return sum(count for _, _, count in self.nodes)
 

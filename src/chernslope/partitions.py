@@ -60,11 +60,10 @@ class PartitionProblem:
 
 @dataclass(frozen=True)
 class NotFound:
-    """Returned (not raised) when no good assignment shows up in time. How
-    close the sampler's draws came is `sampler_diagnostics`' to say."""
+    """Returned (not raised) when the draws or attempts, `tries` of them, run
+    out. How the sampler's draws failed is `sampler_diagnostics`' to say."""
 
     tries: int
-    zero_hits: int  # draws rejected for a multiplicity collapsing mod q
 
 
 def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
@@ -113,7 +112,7 @@ def _draw_base(problem: PartitionProblem, rng: random.Random) -> dict[str, int]:
     params = problem.config.params
     q, delta = problem.q, params.delta
     sec_ids, fiber_ids = problem.config.section_ids, problem.config.fiber_ids
-    if problem.config.family is Family.APRIME:
+    if params.family is Family.APRIME:
         base: dict[str, int] = {}
         a_parts = [x + 1 for x in _composition(rng, q - params.l, params.l)]
         for i, a in enumerate(a_parts):
@@ -238,30 +237,26 @@ def sample_with_stats(
     a `BranchAssignment`; `sampler_diagnostics` replays the same draws for
     the reports that say how close they came."""
     check_max_tries(max_tries)
-    zero_hits = 0
     for t, draw in enumerate(_draws(problem, seed, max_tries), start=1):
-        if draw is None:
-            zero_hits += 1
-        elif next(draw[1], None) is None:
+        if draw is not None and next(draw[1], None) is None:
             return BranchAssignment.from_base(problem.config, problem.q, draw[0]), t
-    return NotFound(tries=max_tries, zero_hits=zero_hits), max_tries
+    return NotFound(tries=max_tries), max_tries
 
 
-def sampler_diagnostics(
-    problem: PartitionProblem, seed: int, max_tries: int
-) -> tuple[int | None, tuple[str, str, int] | None]:
-    """(fewest_bad, worst_node) over the draws of a failed
-    `sample_with_stats(problem, seed, max_tries)`: the fewest rule-breaking
-    nodes in one draw, and the first of them. A draw's bad nodes are counted
-    only until they reach the best count so far, since past it the draw
-    cannot replace the best one. Both are None if every draw collapsed."""
-    fewest_bad: int | None = None
-    worst_node = None
+def sampler_diagnostics(problem: PartitionProblem, seed: int, max_tries: int) -> dict:
+    """The not-found report fields of a failed `sample_with_stats(problem,
+    seed, max_tries)`: `zero_hits` draws had a multiplicity collapsing mod q;
+    `fewest_bad` is the fewest rule-breaking nodes in one other draw, and
+    `worst_node` the first of them (both None if every draw collapsed). A
+    draw's bad nodes are counted only until they reach the best count so far,
+    since past it the draw cannot replace the best one."""
+    zero_hits, fewest_bad, worst_node = 0, None, None
     for draw in _draws(problem, seed, max_tries):
+        zero_hits += draw is None
         bad = list(islice(draw[1], fewest_bad)) if draw else []
         if bad and (fewest_bad is None or len(bad) < fewest_bad):
             fewest_bad, worst_node = len(bad), bad[0][0]
-    return fewest_bad, worst_node
+    return {"zero_hits": zero_hits, "fewest_bad": fewest_bad, "worst_node": worst_node}
 
 
 def _section_steps(problem: PartitionProblem) -> list[tuple[str, str | None]]:
@@ -271,7 +266,7 @@ def _section_steps(problem: PartitionProblem) -> list[tuple[str, str | None]]:
     APRIME pair (beta = 0), or A0/A's negative section at the last step
     (beta = -s, with s the sum of the earlier section unknowns)."""
     sec_ids = problem.config.section_ids
-    if problem.config.family is Family.APRIME:
+    if problem.config.params.family is Family.APRIME:
         return list(zip(sec_ids[0::2], sec_ids[1::2]))
     *x_comps, neg = sec_ids
     return [(comp, None) for comp in x_comps[:-1]] + [(x_comps[-1], neg)]
@@ -439,7 +434,7 @@ def search_assignment(
     cfg = problem.config
     params = cfg.params
     q = problem.q
-    paired = cfg.family is Family.APRIME
+    paired = params.family is Family.APRIME
     rules = residue_rules(cfg, q)
     images = NodeImages(q)
     steps = _section_steps(problem)
@@ -609,4 +604,4 @@ def search_assignment(
             break
     # dfs reaches itself through its closure: break the cycle, so `images` is freed now
     dfs = None
-    return NotFound(tries=attempts, zero_hits=0) if found is None else found
+    return NotFound(tries=attempts) if found is None else found

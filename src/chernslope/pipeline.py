@@ -11,7 +11,7 @@ the report.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from . import density
 from .geometry import Family, ResolvedConfiguration, build_resolution, component_count, node_count
@@ -40,9 +40,9 @@ def find_assignment(
     """Rejection sampling, then the deterministic backtracking search, at q.
 
     Returns (result, draws, method): `draws` counts the sampler's draws and
-    `method` is "rejection", "backtracking" or None. On failure the NotFound
-    carries the search's attempt count as `tries` and the sampler's
-    zero_hits; a report that says how close the draws came gets that from
+    `method` is "rejection", "backtracking" or None. On failure the result
+    is the search's NotFound, whose `tries` counts its attempts; a report
+    that says how the sampler's draws failed gets that from
     `sampler_diagnostics`.
     """
     check_max_tries(max_tries)
@@ -52,7 +52,7 @@ def find_assignment(
         return sampled, draws, "rejection"
     found = search_assignment(problem, seed=seed)
     if isinstance(found, NotFound):
-        return replace(sampled, tries=found.tries), draws, None
+        return found, draws, None
     # a sampler hit has passed the residue rule already; the search's has not
     if not verify_asymptotic(config, found).ok:
         raise RuntimeError(f"backtracking search returned a bad assignment at q = {q}")
@@ -185,13 +185,10 @@ def run_pipeline(
             })
     report["status"] = status
     if status == "not_found":
-        fewest_bad, worst_node = sampler_diagnostics(PartitionProblem(config, q), seed, max_tries)
         report["sampled"] = {
             "q": q,
             "tries": result.tries,
-            "zero_hits": result.zero_hits,
-            "fewest_bad": fewest_bad,
-            "worst_node": list(worst_node) if worst_node else None,
+            **sampler_diagnostics(PartitionProblem(config, q), seed, max_tries),
             "escalations": attempts_log,
         }
         return PipelineResult(report)

@@ -1,6 +1,7 @@
 """Command-line interface: JSON/CSV output, exit codes, config files."""
 import contextlib
 import csv
+import functools
 import io
 import json
 import re
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chernslope import cli
+from chernslope import cli, partitions, pipeline
 
 CLI = [sys.executable, "-m", "chernslope.cli"]
 
@@ -318,6 +319,85 @@ class TestSlopeTargets:
             code = cli.main(["slope", f"--target={target}", f"--eps={eps}",
                              "--family", family, "--no-sample"])
         assert code in (0, 2, 3)
+
+
+# argument vectors for every subcommand, mostly valid: small q (mostly primes),
+# d <= 6, --max-tries <= 5, and `slope` only with --no-sample
+_small_q = st.sampled_from([-1, 0, 1, 9, 2, 3, 17, 31, 53, 101, 127, 211, 307])
+_max_tries = st.integers(-1, 5)
+
+
+@st.composite
+def _family_argv(draw):
+    family = draw(st.sampled_from(["A0", "A", "APRIME"]))
+    d = draw(st.sampled_from([4, 6]) if family == "APRIME" else st.integers(3, 6))
+    u, w = (draw(st.integers(0, 1)), draw(st.integers(0, 1))) if family == "A" else (0, 0)
+    argv = ["--family", family, "--p", str(draw(st.sampled_from([2, 3]))),
+            "--r", str(draw(st.integers(1, 2))), "--e", str(draw(st.integers(1, 2))),
+            "--d", str(d), "--u", str(u), "--w", str(w)]
+    # half the vectors override one option with a value it refuses; the later flag wins
+    return argv + draw(st.sampled_from(
+        [[]] * 4 + [["--family", "Q"], ["--p", "4"], ["--d", "2"], ["--u", "-1"]]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["dedekind", "badset", "arrangement", "search", "cover",
+                                    "slope", "prank", "nef", "sweep"]))
+    q = draw(_small_q)
+    if command == "dedekind":
+        return [command, "--q", str(q), "--a", str(draw(st.integers(-1, max(q, 1))))]
+    if command == "badset":
+        return [command, "--q", str(q), "--C", draw(st.sampled_from(["1", "1/2", "0"])),
+                *draw(st.sampled_from([[], ["--verify"]]))]
+    if command == "prank":
+        mults = draw(st.sampled_from([f"1,{q - 1}", f"1,1,{q - 2}", "1,1", "x"]))
+        return [command, "--q", str(q), "--p", str(draw(st.sampled_from([2, 3, 5]))),
+                "--mults", mults]
+    if command == "slope":
+        return [command, "--target", draw(st.sampled_from(["2", "5/2", "14/5", "3", "1", "9"])),
+                "--eps", draw(st.sampled_from(["1/100", "1/2", "-1"])),
+                "--family", draw(st.sampled_from(["A", "APRIME"])),
+                "--p", str(draw(st.sampled_from([2, 3]))),
+                "--max-tries", str(draw(_max_tries)), "--no-sample"]
+    argv = [command, *draw(_family_argv())]
+    if command == "arrangement":
+        return argv + draw(st.sampled_from([[], ["--closed-only"], ["--full"]]))
+    if command == "nef":
+        return argv + draw(st.sampled_from([["--q", str(q)], ["--find", "--q-cap", str(q)]]))
+    tries = ["--seed", str(draw(st.integers(0, 3))), "--max-tries", str(draw(_max_tries))]
+    if command == "sweep":
+        q_min = draw(st.integers(-1, 120))
+        return argv + ["--q-min", str(q_min), "--q-max", str(q_min + draw(st.integers(-2, 20))),
+                       *tries]
+    if command == "cover":
+        tries += draw(st.sampled_from([[], ["--singularities"]]))
+    return argv + ["--q", str(q), *tries]
+
+
+class TestDrawnArguments:
+    @given(_argv())
+    # not-found runs: the sampler's 2 draws and the search's budget run out
+    @example(["search", "--family", "A", "--u", "1", "--w", "1", "--d", "4", "--q", "53",
+              "--max-tries", "2"])
+    @example(["cover", "--family", "A", "--u", "1", "--w", "1", "--d", "4", "--q", "53",
+              "--max-tries", "2"])
+    @example(["sweep", "--family", "A", "--u", "1", "--w", "1", "--d", "4", "--q-min", "41",
+              "--q-max", "60", "--max-tries", "2"])
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes(self, argv):
+        # in process, so an escaping exception fails the test; a small search
+        # budget keeps each call short
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            mp.setattr(pipeline, "search_assignment",
+                       functools.partial(partitions.search_assignment, node_budget=2000))
+            code = cli.main(argv)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert len(err.getvalue().splitlines()) == 1
 
 
 class TestClosedStdout:

@@ -147,7 +147,7 @@ class TestRejectionSampler:
         result, tries = sample_with_stats(problem, seed=0, max_tries=50)
         assert isinstance(result, NotFound)
         assert tries == 50
-        fewest_bad, _ = sampler_diagnostics(problem, 0, 50)
+        fewest_bad = sampler_diagnostics(problem, 0, 50)["fewest_bad"]
         assert fewest_bad is None or fewest_bad >= 1
 
     def test_retry_rate_improves_with_q(self, family_a_config):
@@ -172,9 +172,10 @@ class TestRejectionSampler:
 def replay_sampler(problem, seed, max_tries):
     """`sample_with_stats` and `sampler_diagnostics` in one pass without the
     early stop: every draw's bad nodes counted in full through
-    `verify_asymptotic` (reference). Returns (result, draws, fewest_bad,
-    worst_node)."""
+    `verify_asymptotic` (reference). Returns (result, draws, the not-found
+    report fields as `sampler_diagnostics` gives them)."""
     zero_hits, fewest_bad, worst_node = 0, None, None
+    result, draws = NotFound(max_tries), max_tries
     for t in range(max_tries):
         base = partitions._draw_base(problem, random.Random(f"{seed}:{t}"))
         try:
@@ -184,10 +185,12 @@ def replay_sampler(problem, seed, max_tries):
             continue
         bad = verify_asymptotic(problem.config, assign).bad_nodes
         if not bad:
-            return assign, t + 1, fewest_bad, worst_node
+            result, draws = assign, t + 1
+            break
         if fewest_bad is None or len(bad) < fewest_bad:
             fewest_bad, worst_node = len(bad), bad[0][0]
-    return NotFound(max_tries, zero_hits), max_tries, fewest_bad, worst_node
+    return result, draws, {"zero_hits": zero_hits, "fewest_bad": fewest_bad,
+                           "worst_node": worst_node}
 
 
 class TestCheckBase:
@@ -244,7 +247,7 @@ def run_main(argv):
 
 def give_up(problem, seed):
     """A backtracking search that always fails, so reports end not_found."""
-    return NotFound(tries=7, zero_hits=0)
+    return NotFound(tries=7)
 
 
 def count_calls(monkeypatch, name, modules):
@@ -281,9 +284,9 @@ class TestSamplerEarlyStop:
         # pass restores what a full count of every draw reports
         problem = PartitionProblem(request.getfixturevalue(config_name), q)
         result, tries = sample_with_stats(problem, seed=seed, max_tries=200)
-        fewest_bad, worst_node = sampler_diagnostics(problem, seed, 200)
-        assert fewest_bad is not None
-        assert (result, tries, fewest_bad, worst_node) == replay_sampler(problem, seed, 200)
+        diagnostics = sampler_diagnostics(problem, seed, 200)
+        assert diagnostics["fewest_bad"] is not None
+        assert (result, tries, diagnostics) == replay_sampler(problem, seed, 200)
 
     @pytest.mark.parametrize("config_name, q", CASES)
     @pytest.mark.parametrize("seed", [0, 2])
@@ -294,10 +297,10 @@ class TestSamplerEarlyStop:
                                  "--seed", str(seed), "--max-tries", "60"])
         assert code == 3
         problem = PartitionProblem(request.getfixturevalue(config_name), q)
-        full, tries, fewest_bad, worst_node = replay_sampler(problem, seed, 60)
+        _, tries, diagnostics = replay_sampler(problem, seed, 60)
         assert json.loads(stdout) == {
-            "status": "not_found", "tries": tries, "zero_hits": full.zero_hits,
-            "fewest_bad": fewest_bad, "worst_node": list(worst_node),
+            "status": "not_found", "tries": tries, **diagnostics,
+            "worst_node": list(diagnostics["worst_node"]),
         }
 
     @pytest.mark.parametrize("max_tries", [5, 40])
@@ -314,10 +317,10 @@ class TestSamplerEarlyStop:
         last_q = sampled["escalations"][-1]["q"]
         # the report names the q its tries and diagnostics belong to
         assert sampled["q"] == last_q == 4201
-        full, _, fewest_bad, worst_node = replay_sampler(
-            PartitionProblem(paired_config, last_q), 0, max_tries)
-        assert (sampled["zero_hits"], sampled["fewest_bad"], sampled["worst_node"]) == (
-            full.zero_hits, fewest_bad, list(worst_node))
+        _, _, diagnostics = replay_sampler(PartitionProblem(paired_config, last_q), 0, max_tries)
+        # the in-process report holds worst_node as the node tuple
+        assert {key: sampled[key] for key in diagnostics} == diagnostics
+        assert isinstance(sampled["worst_node"], tuple)
         assert diagnosed == [(last_q, (0, max_tries))]
 
     def test_no_diagnostics_unless_printed(self, monkeypatch):
@@ -365,7 +368,7 @@ class TestSamplerEarlyStop:
         expected = replay_sampler(problem, seed, max_tries)
         assert (result, tries) == expected[:2]
         if isinstance(result, NotFound):
-            assert diagnostics == expected[2:]
+            assert diagnostics == expected[2]
 
     @pytest.mark.parametrize("max_tries", [-1, -200])
     def test_negative_max_tries_is_a_domain_error(self, monkeypatch, family_a_config, max_tries):
@@ -547,7 +550,7 @@ class TestBacktrackingSearch:
 
         monkeypatch.setattr(partitions, "random", SimpleNamespace(Random=Recording))
         result = search_assignment(PartitionProblem(family_a_d4_config, 41), seed=0)
-        assert result == NotFound(tries=72552, zero_hits=0)
+        assert result == NotFound(tries=72552)
         assert made == ["search:0:0"]
 
     @pytest.mark.parametrize("node_budget, tries", [
@@ -769,7 +772,7 @@ def search_space(config, q):
     section at q - sum(x); APRIME takes pairs (a, q - a) with sum(a) = q and
     sum(y) = q."""
     params, sec, fib = config.params, config.section_ids, config.fiber_ids
-    if config.family is Family.APRIME:
+    if config.params.family is Family.APRIME:
         for leaders in compositions(q, params.l):
             pairs = {c: m for a, c1, c2 in zip(leaders, sec[0::2], sec[1::2])
                      for c, m in ((c1, a), (c2, q - a))}
@@ -872,7 +875,7 @@ class TestChainZerosOutOfImages:
         `cancel`, the first tangency's sections also sum to 0 mod q."""
         rng = random.Random(seed)
         values = {c: rng.randrange(1, q) for c in config.section_ids}
-        if config.family is Family.APRIME:
+        if config.params.family is Family.APRIME:
             for a, b in zip(config.section_ids[0::2], config.section_ids[1::2]):
                 values[b] = q - values[a]
         if cancel:

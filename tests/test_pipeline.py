@@ -9,6 +9,7 @@ import pytest
 
 from chernslope import cli, density, pipeline
 from chernslope.geometry import ArrangementParams, Family, build_resolution
+from chernslope.partitions import NotFound
 from chernslope.pipeline import run_pipeline
 from chernslope.rootcover import BranchAssignment
 from chernslope.serialize import canonical_json
@@ -82,6 +83,12 @@ class TestFindAssignment:
         monkeypatch.setattr(pipeline, "search_assignment", lambda problem, seed: bad)
         with pytest.raises(RuntimeError):
             pipeline.find_assignment(config, 17, seed=0, max_tries=0)
+
+    def test_passes_the_search_failure_through(self, monkeypatch):
+        config = build_resolution(ArrangementParams(Family.A, p=2, r=1, e=1, d=3, u=1, w=1))
+        gave_up = NotFound(tries=7)
+        monkeypatch.setattr(pipeline, "search_assignment", lambda problem, seed: gave_up)
+        assert pipeline.find_assignment(config, 17, seed=0, max_tries=3)[0] is gave_up
 
 
 class TestOffTarget:
