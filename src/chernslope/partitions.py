@@ -372,6 +372,14 @@ def _reach_step(cur: int, sol: int, target: int) -> int:
     return nxt & mask
 
 
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x >= 0, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def _order(rng: random.Random, q: int) -> array:
     """`rng.sample(range(1, q), q - 1)` as an array, drawn inline: the same
     `getrandbits` calls (randbelow's rejection loop on m = q-1, .., 1, then
@@ -420,6 +428,15 @@ def search_assignment(
     per fiber, the images of that fiber's nodes, keeps values 1..cap, and
     solves the remaining sum constraint by a bitset subset-sum sweep over
     the fibers (`_reach_step`).
+
+    In family A with u >= 1, where section nodes join the last two steps,
+    the two are settled in one pass (`settle_last_two`): their attempts
+    before phase 2 are counted in closed form, and only the value pairs
+    that pass both masks reach phase 2, in the order the plain loops would
+    try them. The pass runs only at a bound no larger than one at which a
+    plain run of its step has come back empty in the restart, and only
+    where no budget cut can land inside it, so every attempt count and
+    result is the plain loops'.
 
     One attempt is one phase-1 candidate tried (passing or not) or one
     phase-2 node image intersected; each of 8 seeded restarts gets a slice
@@ -527,12 +544,85 @@ def search_assignment(
         assert s == 0
         return True
 
+    def cut(idx: int, hi: int) -> Iterable[int]:
+        """Step idx's order cut to the values below the power of two above
+        hi, built once per restart and bit length of hi."""
+        key = (idx, hi.bit_length())
+        values = below.get(key)
+        if values is None:
+            lim = 1 << key[1]
+            values = below[key] = orders[idx] if lim >= q else [v for v in orders[idx] if v < lim]
+        return values
+
+    def rank(idx: int, hi: int) -> dict[int, int]:
+        """Each value's position in `cut(idx, hi)`, built on first use."""
+        key = (idx, hi.bit_length())
+        ranks = ranked.get(key)
+        if ranks is None:
+            ranks = ranked[key] = {v: i for i, v in enumerate(cut(idx, hi))}
+        return ranks
+
+    # When the second-to-last step's section nodes reach the last step (family
+    # A with u >= 1; A0 has none, APRIME pairs its sections), the two steps
+    # can be settled in one pass (`settle_last_two`)
+    fused = n_steps - 2 if not paired and ahead[n_steps - 2] else None
+    phase2_most = sum(map(len, fiber_nodes.values()))  # attempts of one solve_fibers, at most
+
+    def settle_last_two(s: int, hi: int, pending: list[int]) -> bool | None:
+        """Steps `fused` and `fused + 1` from the sum s, as `dfs` would run
+        them, or None with nothing counted if a budget cut could land in them.
+
+        The step's candidates are v in 1..hi = c - 1, the last step's
+        u in 1..c - v, and each costs one attempt, passing its mask or not:
+        so the two cost hi + sum over the step's mask M of (c - v) attempts
+        before phase 2. Only the pairs whose last step passes need work: u in
+        the last step's mask and v in M that the section nodes joining the
+        two steps allow at u. They go to `solve_fibers` in the order the
+        plain loops visit them, v by the step's order, then u by the last's.
+        """
+        nonlocal attempts
+        c = hi + 1
+        mask = pending[fused] & ((1 << c) - 2)  # M, within 1..hi
+        n_m = mask.bit_count()
+        closed = hi + n_m * c - (hi * c // 2 if n_m == hi else sum(_bits(mask)))
+        if attempts + closed > budget_cap:
+            return None
+        leaf = fused + 1
+        live = []
+        for u in _bits(pending[leaf] & ((1 << c) - 2)):
+            vs = mask & ((2 << (c - u)) - 2)  # v in 1..c-u
+            for _later, rule, first in ahead[fused]:
+                vs &= images[(rule, 1, 0, 0, u) if first else (rule, 0, u, 1, 0)]
+            live.extend((v, u) for v in _bits(vs))
+        if attempts + closed + len(live) * phase2_most > budget_cap:
+            return None
+        attempts += closed
+        if len(live) > 1:
+            rank_v, rank_u = rank(fused, hi), rank(leaf, hi)
+            live.sort(key=lambda vu: (rank_v[vu[0]], rank_u[vu[1]]))
+        comp = steps[fused][0]
+        last_comp, partner = steps[leaf]
+        for v, u in live:
+            form[comp] = (0, v)
+            form[last_comp] = (0, u)
+            form[partner] = (0, (-(s + v) - u) % q)
+            if solve_fibers(s + v + u):
+                return True
+        return False
+
     def dfs(idx: int, s: int, pending: list[int]) -> bool:
         """Phase 1 from step `idx`, where s sums the earlier steps' values
         and pending[k] is the mask the earlier steps' values leave step k."""
-        nonlocal attempts
+        nonlocal attempts, exhausted_hi
         comp, partner = steps[idx]
         hi = (q - weight * (s + n_steps - idx - 1) - reserve) // weight
+        # The one pass is eager where the plain loop stops at its first
+        # success: take it only at a bound no larger than one at which a
+        # plain run of the step came back empty
+        if idx == fused and hi <= exhausted_hi:
+            found = settle_last_two(s, hi, pending)
+            if found is not None:
+                return found
         beta = 0 if paired else -s
         # Every candidate and every fixed section lies in 1..q-1, and so does
         # the partner (beta - v) mod q: APRIME has beta = 0, and in A0/A
@@ -540,16 +630,8 @@ def search_assignment(
         # so 0 < s + v < q. No node end vanishes: the images alone decide.
         mask = pending[idx]
         last = idx == n_steps - 1
-        if paired and last:
-            values = (hi,)  # APRIME's pair values sum to q: the last one is forced
-        else:
-            # the order cut to the values below the power of two above hi,
-            # built once per restart and bit length of hi
-            cut = (idx, hi.bit_length())
-            values = below.get(cut)
-            if values is None:
-                lim = 1 << cut[1]
-                values = below[cut] = orders[idx] if lim >= q else [v for v in orders[idx] if v < lim]
+        # APRIME's pair values sum to q: the last one is forced
+        values = (hi,) if paired and last else cut(idx, hi)
         for v in values:
             if v > hi:
                 continue
@@ -574,6 +656,8 @@ def search_assignment(
                 return True
             if attempts > budget_cap:
                 return False
+        if idx == fused:
+            exhausted_hi = max(exhausted_hi, hi)
         return False
 
     # Deterministic restarts: each gets a fresh seeded value order and a
@@ -588,6 +672,8 @@ def search_assignment(
         rng = random.Random(f"search:{seed}:{restart}")
         orders = [_order(rng, q) for _ in range(n_steps)]
         below: dict[tuple[int, int], Iterable[int]] = {}
+        ranked: dict[tuple[int, int], dict[int, int]] = {}
+        exhausted_hi = 0
         start = attempts
         budget_cap = min(node_budget, attempts + slice_budget)
         if dfs(0, 0, [images.full] * n_steps):

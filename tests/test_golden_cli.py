@@ -29,6 +29,10 @@ GOLDEN = [
       "--max-tries", "50"], 0, "16f456c573a2d012"),
     (["search", "--family", "A", "--u", "1", "--w", "1", "--d", "4", "--q", "53",
       "--max-tries", "20"], 3, "faf82012bbb8e604"),
+    # found inside the search's one pass over its last two steps, after 2508
+    # passes that came back empty
+    (["search", "--family", "A", "--u", "1", "--w", "1", "--d", "4", "--q", "67",
+      "--max-tries", "0", "--seed", "0"], 0, "b958295195b3d3b2"),
     # exempt full-turn nodes take part in the sampler's fewest_bad/worst_node
     (["search", "--family", "APRIME", "--d", "6", "--r", "2", "--q", "101",
       "--max-tries", "30", "--seed", "3"], 3, "4dbb0a85bb1fa6e9"),

@@ -1,4 +1,5 @@
 """Randomized and backtracking searches for good branch assignments."""
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -9,6 +10,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -567,19 +569,25 @@ class TestBacktrackingSearch:
 
     @staticmethod
     def recording_images(monkeypatch):
-        """Make the search build NodeImages that log each key they miss;
-        returns the list the searches' memos are appended to."""
+        """Make the search build NodeImages that log each key they miss and
+        each key they evaluate; returns the list the searches' memos are
+        appended to."""
         made = []
 
         class Recording(NodeImages):
             def __init__(self, q):
                 super().__init__(q)
                 self.misses = []
+                self.evaluated = []
                 made.append(self)
 
             def __missing__(self, key):
                 self.misses.append(key)
                 return super().__missing__(key)
+
+            def _evaluate(self, *key):
+                self.evaluated.append(key)
+                return super()._evaluate(*key)
 
         monkeypatch.setattr(partitions, "NodeImages", Recording)
         return made
@@ -604,6 +612,64 @@ class TestBacktrackingSearch:
             search_assignment(PartitionProblem(config, q), seed=0)
             images = made[-1]
             assert len(images.misses) == len(set(images.misses)) == len(images) > 0
+
+    # Family A with u >= 1 settles its last two steps in one pass; budgets of
+    # 777 and 5 000 cut some of those passes, which then run as plain loops,
+    # and A0 and APRIME never take the pass
+    ONE_PASS_GRID = [
+        (ArrangementParams(Family.A, p=2, r=1, e=1, d=4, u=1, w=1), (23, 29, 43, 53, 67, 89, 137)),
+        (ArrangementParams(Family.A, p=2, r=1, e=1, d=3, u=1, w=1), (23, 41, 73, 103, 139)),
+        (ArrangementParams(Family.A, p=3, r=1, e=1, d=4, u=2, w=1), (37, 43, 61, 73)),
+        (ArrangementParams(Family.A0, p=2, r=1, e=1, d=3), (29, 61, 73, 113)),
+        (ArrangementParams(Family.APRIME, p=3, r=1, e=1, d=6), (17, 31, 131, 139)),
+    ]
+
+    def test_results_pinned_across_one_pass_and_plain_loops(self):
+        # the digest of every result's repr, attempt counts included, taken
+        # before the one pass existed
+        digest = hashlib.sha256()
+        for params, qs in self.ONE_PASS_GRID:
+            config = build_resolution(params)
+            for q in qs:
+                for seed in (0, 1):
+                    for budget in (8, 777, 5_000, 200_000):
+                        result = search_assignment(PartitionProblem(config, q), seed=seed,
+                                                   node_budget=budget)
+                        digest.update(repr(result).encode() + b"\n")
+        assert digest.hexdigest()[:16] == "9b2334f98cf13563"
+
+    def test_one_pass_settles_and_hands_back(self, family_a_d4_config):
+        # what each one pass returned: True or False where it settled the
+        # last two steps, None where a budget cut could land in them
+        returned = collections.Counter()
+
+        def spy(frame, event, arg):
+            if event == "return" and frame.f_code.co_name == "settle_last_two":
+                returned[arg] += 1
+
+        sys.setprofile(spy)
+        try:
+            result = search_assignment(PartitionProblem(family_a_d4_config, 53), seed=0)
+        finally:
+            sys.setprofile(None)
+        assert result == NotFound(tries=200_001)
+        assert returned[False] > 0 and returned[None] > 0
+
+    @pytest.mark.parametrize("config_name, q, seeds, evaluated", [
+        ("family_a_d4_config", 1601, range(4), 77),
+        ("family_a_d4_config", 3203, range(4), 72),
+        ("family_a_config", 10_007, (0,), 11),
+        ("family_a_config", 100_003, (0,), 11),
+    ])
+    def test_one_pass_stays_lazy(self, monkeypatch, request, config_name, q, seeds, evaluated):
+        # the images evaluated before the one pass existed: it waits for a
+        # plain run of its step at a bound no smaller to come back empty, so
+        # at these q it evaluates no image the plain loops would not
+        made = self.recording_images(monkeypatch)
+        config = request.getfixturevalue(config_name)
+        for seed in seeds:
+            search_assignment(PartitionProblem(config, q), seed=seed)
+        assert sum(len(images.evaluated) for images in made) == evaluated
 
     @pytest.mark.parametrize("params", [
         ArrangementParams(Family.A0, p=2, r=1, e=1, d=3),
