@@ -84,7 +84,7 @@ def _add_family_options(sub,*, default_family="A0") -> None:
 def _cmd_dedekind(args) -> int:
     data = dedekind_data(args.q, args.a)
     _emit({
-        "q": data.q, "a": data.a, "digits": list(data.digits), "length": data.length,
+        "q": data.q, "a": data.a, "digits": data.digits, "length": data.length,
         "s": data.s, "s_approx": float(data.s),
         "c": data.c, "c_approx": float(data.c),
     })
@@ -137,7 +137,7 @@ def _cmd_arrangement(args) -> int:
                 {"id": c.cid, "kind": c.kind, "self": c.self_int, "genus": c.genus}
                 for c in config.components
             ]
-            out["census"]["nodes"] = [list(n) for n in config.nodes]
+            out["census"]["nodes"] = config.nodes
     _emit(out)
     return EXIT_OK
 
@@ -172,7 +172,7 @@ def _cmd_cover(args) -> int:
     out = {"status": "ok", "q": args.q, "tries": draws, **pipeline.cover_fields(cover)}
     if args.singularities:
         out["singularities"] = [
-            {"node": list(s.node), "a": s.a, "l": s.l, "c": s.c, "digits": list(s.hj_digits)}
+            {"node": s.node, "a": s.a, "l": s.l, "c": s.c, "digits": s.hj_digits}
             for s in cover.singularities
         ]
     _emit(out)
@@ -196,10 +196,10 @@ def _cmd_prank(args) -> int:
     data = prank.CyclicCoverData(q=args.q, p=args.p, mults=mults)
     orbits = prank.frobenius_orbits(args.q, args.p)
     out = {
-        "q": args.q, "p": args.p, "mults": list(mults),
+        "q": args.q, "p": args.p, "mults": mults,
         "genus": prank.genus(data),
         "B": prank.prank_upper_bound(data),
-        "orbits": [list(o) for o in orbits],
+        "orbits": orbits,
     }
     if is_prime(args.q):
         # i -> p*i is one cycle on 1..q-1 exactly when p generates (Z/q)*
@@ -226,7 +226,7 @@ def _cmd_nef(args) -> int:
         "q": args.q,
         "entries": rep.entries,
         "config_entries": rep.config_entries,
-        "mismatched_labels": list(rep.mismatched_labels),
+        "mismatched_labels": rep.mismatched_labels,
         "all_nonnegative": rep.all_nef,
         "t_value": rep.t_value,
     })

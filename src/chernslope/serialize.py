@@ -1,6 +1,8 @@
 """Canonical JSON: exact rationals as {"num", "den"} string pairs.
 
-`canonical_json` renders a value in one walk, with no intermediate tree.
+`canonical_json` renders a value in one walk, with no intermediate tree,
+and builds each container's text with one join. An array of exact ints is
+spelled by `list.__repr__`; bools, enums and other int subclasses are not.
 Its bytes are those of `json.dumps(..., sort_keys=True, indent=2)` applied
 to the value converted by these rules, tried in this order:
 
@@ -24,6 +26,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
 _INF = float("inf")
+_INT_ONLY = frozenset((int,))
 
 
 def canonical_json(obj) -> str:
@@ -70,22 +73,32 @@ def _array(items, nl: str) -> str:
     if not items:
         return "[]"
     inner = nl + "  "
-    parts = [int.__repr__(v) if type(v) is int else _render(v, inner) for v in items]
-    return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    if _INT_ONLY.issuperset(map(type, items)):
+        # list.__repr__ spells each int as int.__repr__ does, ", " apart
+        body = repr(list(items))[1:-1].replace(", ", "," + inner)
+        return "".join(("[", inner, body, nl, "]"))
+    return _enclose("[", [_render(v, inner) for v in items], inner, nl + "]")
 
 
 def _members(pairs, nl: str) -> str:
-    """A JSON object from (str key, value) pairs already in key order."""
+    """A JSON object from (quoted key + ": ", value) pairs in key order."""
     inner = nl + "  "
-    parts = [_quote(k) + ": " + _render(v, inner) for k, v in pairs]
+    parts = [k + _render(v, inner) for k, v in pairs]
     if not parts:
         return "{}"
-    return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    return _enclose("{", parts, inner, nl + "}")
+
+
+def _enclose(opening: str, parts: list, inner: str, closing: str) -> str:
+    """`parts` in one join at indent `inner`, brackets put into its end parts."""
+    parts[0] = opening + inner + parts[0]
+    parts[-1] += closing
+    return ("," + inner).join(parts)
 
 
 def _dict(d: dict, nl: str) -> str:
     items = {str(k): v for k, v in d.items()}
-    return _members([(k, items[k]) for k in sorted(items)], nl)
+    return _members([(_quote(k) + ": ", items[k]) for k in sorted(items)], nl)
 
 
 def _fraction(f: Fraction, nl: str) -> str:
@@ -107,5 +120,6 @@ def _renderer(cls: type):
         return lambda member, nl: _leaf(member.value)
     if is_dataclass(cls):
         names = sorted(f.name for f in fields(cls))
-        return lambda obj, nl: _members([(n, getattr(obj, n)) for n in names], nl)
+        keys = [_quote(n) + ": " for n in names]
+        return lambda obj, nl: _members(zip(keys, [getattr(obj, n) for n in names]), nl)
     return _leaf

@@ -4,6 +4,7 @@ asdict-based walk on the package's own dataclasses."""
 import enum
 import hashlib
 import json
+import tracemalloc
 from collections import Counter, OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
@@ -64,6 +65,12 @@ def package_values():
 PACKAGE_VALUES = package_values()
 
 
+@pytest.fixture(scope="module")
+def dedekind_records():
+    """Every residue's record at q = 9973: bounds-census's largest document."""
+    return [dedekind_data(9973, a) for a in range(1, 9973)]
+
+
 class TestPackageDataclasses:
     @pytest.mark.parametrize("name", sorted(PACKAGE_VALUES))
     def test_matches_asdict_walk(self, name):
@@ -76,8 +83,8 @@ class TestPackageDataclasses:
     def test_all_together(self):
         assert_same(PACKAGE_VALUES)
 
-    def test_dedekind_pin(self):
-        out = canonical_json([dedekind_data(9973, a) for a in range(1, 9973)])
+    def test_dedekind_pin(self, dedekind_records):
+        out = canonical_json(dedekind_records)
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "d9fbdfa339cb1727"
 
 
@@ -192,6 +199,58 @@ class TestNestedValues:
         assert jsonable(Box("c", Counter({"a": 2}))) == {"label": "c", "inner": {"a": 2}}
         assert reference_jsonable(Box("c", Counter({"a": 2})))["inner"] == {"('a', 2)": 1}
         assert_same(Box("c", Counter({"a": 2})))
+
+
+# arrays of exact ints take list.__repr__; one intruder of an int subclass,
+# a bool or a float sends the whole array down the general path
+intruders = st.sampled_from([True, False, Colour.RED, Count(5), 2.5])
+
+
+@st.composite
+def int_arrays(draw):
+    ints = draw(st.lists(st.integers(), max_size=1) | st.lists(st.integers(), max_size=1000))
+    if draw(st.booleans()):
+        ints.insert(draw(st.integers(0, len(ints))), draw(intruders))
+    return draw(st.sampled_from([list, tuple, set]))(ints)
+
+
+nested_int_arrays = st.recursive(
+    int_arrays(),
+    lambda children: st.dictionaries(text, children, max_size=3)
+    | st.builds(Box, text, children)
+    | st.lists(children, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestIntArrays:
+    @given(nested_int_arrays)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, value):
+        assert_same(value)
+
+
+def render_peak(value) -> tuple[int, str]:
+    """The most memory tracemalloc saw canonical_json(value) hold, and its text."""
+    tracemalloc.start()
+    try:
+        out = canonical_json(value)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """No finished container's text is copied again, and an all-int array
+    keeps no str per item."""
+
+    def test_int_array(self):
+        peak, out = render_peak({"good": tuple(range(1000, 201_000))})
+        assert peak < 3 * len(out)
+
+    def test_dedekind_records(self, dedekind_records):
+        peak, out = render_peak(dedekind_records)
+        assert peak < 2.6 * len(out)
 
 
 class TestLayout:
